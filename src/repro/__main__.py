@@ -18,8 +18,7 @@ Commands
     Chrome trace, JSONL event log, metrics rollup, and (with
     ``--flame``) a folded-stack flamegraph
     (:mod:`repro.observability`); ``--bench`` writes the
-    ``BENCH_trace.json`` + ``BENCH_perf.json`` perf-baseline sweep
-    instead.
+    ``BENCH_trace.json`` perf-baseline sweep instead.
 ``bench diff <baseline> <candidate> [--tolerance-pct N] [--markdown]``
     Semantic perf-baseline comparison: metric-by-metric diff of two
     ``repro-bench/*`` documents with drift attributed to
@@ -149,8 +148,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--dm", action="store_true",
                     help="run on the distributed-memory runtime")
     tr.add_argument("--faults", action="store_true",
-                    help="inject the default chaos fault plan "
-                         "(requires --dm)")
+                    help="inject the runtime's default chaos fault "
+                         "plan (SM or DM)")
     tr.add_argument("--out", required=True,
                     help="output directory (or the target file "
                          "with --bench)")
@@ -163,8 +162,8 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--iterations", type=int, default=5)
     tr.add_argument("--fault-seed", type=int, default=1)
     tr.add_argument("--bench", action="store_true",
-                    help="write the BENCH_trace.json + BENCH_perf.json "
-                         "perf baseline sweep instead of a single trace")
+                    help="write the BENCH_trace.json perf baseline "
+                         "sweep instead of a single trace")
     tr.add_argument("--flame", action="store_true",
                     help="also export the folded-stack flamegraph "
                          "(flame.folded; feeds flamegraph.pl/speedscope)")

@@ -1,4 +1,4 @@
-"""The committed perf baselines (schema ``repro-bench/3``).
+"""The committed perf baseline ``BENCH_trace.json`` (``repro-bench/3``).
 
 Two cell families derived from one sweep:
 
@@ -32,13 +32,10 @@ Two cell families derived from one sweep:
   the batched engine's behavior at a size where per-element Python
   dispatch would dominate.
 
-Two documents are derived from one sweep: ``BENCH_trace.json`` (the
-full baseline above) and ``BENCH_perf.json`` (the runtime-focused
-rollup -- per-cell time plus headline counters, no phases -- the
-numeric perf series future PRs diff against).  Everything is seeded
-and timestamps are simulated, so two sweeps produce byte-identical
-files; ``repro bench diff`` compares a fresh sweep against the
-committed copies with per-metric tolerances instead of ``cmp``.
+Everything is seeded and timestamps are simulated, so two sweeps
+produce byte-identical files; ``repro bench diff`` compares a fresh
+sweep against the committed copy with per-metric tolerances instead of
+``cmp``.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from __future__ import annotations
 import json
 import os
 
-#: versioned schema tag of the baseline files
+#: versioned schema tag of the baseline file
 BENCH_SCHEMA = "repro-bench/3"
 
 #: the baseline-family grid: (algorithm, variant) x (sm, dm)
@@ -64,50 +61,33 @@ LARGE_ALGORITHMS = ("pagerank", "bfs", "sssp", "cc")
 LARGE_CONFIG = {"dataset": "er", "n": 9600, "P": 4, "seed": 7,
                 "iterations": 5, "cache_scale": 0}
 
-#: headline counters of the BENCH_perf.json runtime rollup
-PERF_COUNTERS = (
-    "reads", "writes", "atomics", "locks",
-    "l1_misses", "l2_misses", "l3_misses", "tlb_d_misses",
-    "messages", "msg_bytes", "collectives", "remote_gets", "remote_puts",
-    "remote_acc_int", "remote_acc_float", "remote_bytes", "flushes",
-    "barriers",
-)
-
 
 def _run_cell(algorithm: str, variant: str, runtime: str, config: dict,
               family: str, engine: str) -> dict:
     from repro.observability.driver import run_traced
-    from repro.observability.export import (
-        _dumps, critical_path, metrics_rollup, traffic_matrix,
-    )
-    from repro.observability.sinks import BufferSink, RollupSink
+    from repro.observability.sinks import RollupSink
 
-    # dual sinks: the buffer feeds the post-hoc exporters below, and
-    # the online rollup is proven byte-equal against them per cell --
-    # so the CI staleness gate re-certifies the incremental path on
-    # every committed cell, every run
-    rollup_sink = RollupSink()
+    fold = RollupSink()
     rt, tracer, resolved, _ = run_traced(
         algorithm, variant=variant, dm=(runtime == "dm"),
         dataset=config["dataset"], n=config["n"],
         P=config["P"], seed=config["seed"],
         iterations=config["iterations"],
         cache_scale=config["cache_scale"], engine=engine,
-        sinks=[BufferSink(), rollup_sink])
-    traced, actual = tracer.reconcile()
-    if traced.to_dict() != actual.to_dict():
+        sinks=[fold])
+    totals, actual = tracer.reconcile()
+    if totals.to_dict() != actual.to_dict():
         raise RuntimeError(
             f"bench cell {algorithm}/{variant}/{runtime}/{family} "
             f"[{engine}]: tracer reconciliation failed")
-    totals = tracer.traced_totals()
-    critical = critical_path(tracer)["totals"]
+    critical = fold.critical()["totals"]
     if not critical["reconciled"]:
         raise RuntimeError(
             f"bench cell {algorithm}/{variant}/{runtime}/{family} "
             f"[{engine}]: critical-path decomposition "
             f"({critical['decomposed_mtu']}) does not sum to the run "
             f"time ({critical['time_mtu']})")
-    traffic = traffic_matrix(tracer)
+    traffic = fold.traffic()
     for field, count in traffic["totals"].items():
         if count != getattr(totals, field):
             raise RuntimeError(
@@ -115,21 +95,12 @@ def _run_cell(algorithm: str, variant: str, runtime: str, config: dict,
                 f"[{engine}]: traffic matrix {field}={count} does not "
                 f"reconcile with the counter total "
                 f"{getattr(totals, field)}")
-    kinds: dict[str, int] = {}
-    for ev in tracer.events:
-        kinds[ev.kind] = kinds.get(ev.kind, 0) + 1
-    rollup = metrics_rollup(tracer)
-    if _dumps(rollup_sink.rollup()) != _dumps(rollup):
-        raise RuntimeError(
-            f"bench cell {algorithm}/{variant}/{runtime}/{family} "
-            f"[{engine}]: the incremental RollupSink rollup does not "
-            f"serialize identically to the post-hoc metrics_rollup")
     phases = [{
         "label": p["label"],
         "events": p["events"],
         "time_mtu": p["time"],
         "counters": p["counters"],
-    } for p in rollup["phases"]]
+    } for p in fold.rollup()["phases"]]
     return {
         "algorithm": algorithm,
         "variant": variant,
@@ -146,7 +117,7 @@ def _run_cell(algorithm: str, variant: str, runtime: str, config: dict,
                      ("compute", "comm", "injected_stall", "sync",
                       "recovery_stall", "off_path_idle")},
         "traffic": {k: v for k, v in traffic["totals"].items() if v},
-        "events": kinds,
+        "events": dict(tracer.kind_counts),
     }
 
 
@@ -174,43 +145,18 @@ def bench_sweep(engine: str = "interpreted") -> dict:
             "cells": cells}
 
 
-def perf_rollup(doc: dict) -> dict:
-    """The runtime-focused ``BENCH_perf.json`` view of a sweep document."""
-    cells = [{
-        "algorithm": c["algorithm"],
-        "variant": c["variant"],
-        "resolved_variant": c["resolved_variant"],
-        "runtime": c["runtime"],
-        "family": c["family"],
-        "machine": c["machine"],
-        "time_mtu": c["time_mtu"],
-        "counters": {k: c["counters"][k] for k in PERF_COUNTERS
-                     if c["counters"].get(k)},
-        "critical": dict(c["critical"]),
-    } for c in doc["cells"]]
-    return {"schema": doc["schema"], "kind": "perf",
-            "config": dict(doc["config"]), "cells": cells}
+def write_bench(out: str, engine: str = "interpreted") -> str:
+    """Run the sweep and write ``BENCH_trace.json``; returns its path.
 
-
-def _write_json(doc: dict, path: str) -> str:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1, allow_nan=False)
-        fh.write("\n")
-    return path
-
-
-def write_bench(out: str, engine: str = "interpreted") -> dict:
-    """Write both baselines; returns ``{"trace": path, "perf": path}``.
-
-    ``out`` is the target ``.json`` file for the trace baseline (or a
-    directory that receives ``BENCH_trace.json``); ``BENCH_perf.json``
-    lands next to it.
+    ``out`` is the target ``.json`` file (or a directory that receives
+    ``BENCH_trace.json``).
     """
     path = out
     if not out.endswith(".json"):
         path = os.path.join(out, "BENCH_trace.json")
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     doc = bench_sweep(engine=engine)
-    perf_path = os.path.join(os.path.dirname(path) or ".", "BENCH_perf.json")
-    return {"trace": _write_json(doc, path),
-            "perf": _write_json(perf_rollup(doc), perf_path)}
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1, allow_nan=False)
+        fh.write("\n")
+    return path

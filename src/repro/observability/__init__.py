@@ -31,10 +31,10 @@ runtimes the same attribution surface:
   flamegraph export (lane -> phase over simulated time; feeds
   ``flamegraph.pl`` / speedscope).
 * :mod:`repro.observability.sinks` -- pluggable event sinks: buffered
-  retention (the default), constant-memory streaming JSONL, the online
-  bounded-memory metrics rollup (proven byte-equal to the post-hoc
-  rollup on every committed bench cell), and seeded span sampling for
-  Chrome/flame export at scales where full retention is impossible.
+  retention (the default), constant-memory streaming JSONL, the metrics
+  rollup fold (online in bounded memory; post-hoc = the same fold
+  replayed over the buffer), and seeded span sampling for Chrome/flame
+  export at scales where full retention is impossible.
 * :mod:`repro.observability.regress` -- semantic perf-baseline diffing
   (``repro bench diff``): metric-by-metric comparison with tolerances,
   drift attributed to cell -> phase -> counter.
@@ -49,14 +49,12 @@ runtimes the same attribution surface:
   entry point: run one kernel under a tracer and write all exports.
 
 The package is import-light by design: nothing here imports the
-harness (charts, experiments) -- the :class:`~repro.runtime.profiler.
-Profile` view renders without pulling chart code unless asked to.
+harness (charts, experiments).
 """
 
 from repro.observability.events import SCHEMA, TraceEvent
 from repro.observability.export import (
-    METRICS_SCHEMA, chrome_trace, critical_path, metrics_rollup,
-    to_jsonl_lines, traffic_matrix, write_outputs,
+    chrome_trace, metrics_rollup, to_jsonl_lines, write_outputs,
 )
 from repro.observability.flame import folded_stacks, write_flame
 from repro.observability.hwcounters import (
@@ -70,7 +68,8 @@ from repro.observability.regress import (
     diff_paths, load_baseline,
 )
 from repro.observability.sinks import (
-    BufferSink, JsonlStreamSink, RollupSink, SamplingSink, TraceSink,
+    METRICS_SCHEMA, BufferSink, JsonlStreamSink, RollupSink, SamplingSink,
+    TraceSink,
 )
 from repro.observability.speedup import SPEEDUP_SCHEMA, build_speedup
 from repro.observability.tracer import (
@@ -97,7 +96,6 @@ __all__ = [
     "attach_tracer",
     "build_speedup",
     "chrome_trace",
-    "critical_path",
     "diff_bench",
     "diff_paths",
     "edge_cut",
@@ -111,7 +109,6 @@ __all__ = [
     "render_trend",
     "snapshot_from_doc",
     "to_jsonl_lines",
-    "traffic_matrix",
     "write_flame",
     "write_outputs",
 ]

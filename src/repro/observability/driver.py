@@ -200,9 +200,8 @@ def trace_main(args) -> int:
     """Back the ``repro trace`` CLI subcommand; returns an exit code."""
     if args.bench:
         from repro.harness.bench import write_bench
-        paths = write_bench(args.out, engine=args.engine)
-        print(f"wrote perf baseline: {paths['trace']}")
-        print(f"wrote perf rollup:   {paths['perf']}")
+        path = write_bench(args.out, engine=args.engine)
+        print(f"wrote perf baseline: {path}")
         return 0
     if args.algorithm is None:
         print("error: an algorithm is required unless --bench is given")

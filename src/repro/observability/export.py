@@ -1,6 +1,6 @@
 """Exporters for recorded traces.
 
-Three views over the same event list, all deterministic (simulated
+Three views of one traced run, all deterministic (simulated
 timestamps, sorted JSON keys, compact separators -- two runs with the
 same seed/config produce byte-identical files):
 
@@ -13,33 +13,13 @@ same seed/config produce byte-identical files):
   supersteps become matched ``B``/``E`` duration pairs, communication
   and fault events become instants on the issuing rank's lane, frontier
   sizes become a counter track.  1 mtu is rendered as 1 µs.
-* :func:`metrics_rollup` -- counter time-series per region/superstep,
-  per-phase aggregates with Table-1-style cache columns, the partition
-  edge-cut next to the communication verb totals, the per-rank-pair
-  traffic matrix, the critical-path decomposition, the push<->pull
-  switch decisions, and run totals (schema ``repro-metrics/3``).
-
-Two derived views back the comparative analysis layer
-(:mod:`repro.observability.speedup`):
-
-* :func:`traffic_matrix` -- per ``(src, dst)`` rank pair: messages and
-  message bytes from traced sends, and the get / put / int-accumulate /
-  float-accumulate op counts plus RMA bytes from traced verbs.  Local
-  verbs (``owner == rank``) charge plain memory traffic, not network
-  counters, and are excluded; on fault-free runs the totals (and the
-  per-source row sums against each rank's own counters) reconcile
-  *exactly* with the run's ``messages``/``msg_bytes``/``remote_*``
-  counters.  (The fault layer recharges counters on retries without
-  re-emitting trace events, so under a fault plan the matrix reports
-  first-attempt traffic only.)
-* :func:`critical_path` -- for every barrier-delimited interval the
-  bounding (slowest) lane and its time split into compute vs.
-  communication (the machine's comm-counter weights applied to the
-  bounding lane's delta) vs. injected fault stretch; barrier episodes
-  are ``sync`` and recovery waits ``recovery_stall``.  The five
-  on-path components sum to the run's ``time_mtu`` (checked by
-  :meth:`Tracer.reconcile_time`); ``off_path_idle`` is the slack of
-  the other lanes, the ``[off-path]`` frames of the flamegraph.
+* :func:`metrics_rollup` -- the ``repro-metrics/3`` document of the
+  run's one fold (:meth:`Tracer.fold`,
+  :class:`~repro.observability.sinks.RollupSink`): counter time-series
+  per region/superstep, per-phase aggregates with Table-1-style cache
+  columns, the partition edge-cut next to the communication verb
+  totals, the per-rank-pair traffic matrix, the critical-path
+  decomposition, the push<->pull switch decisions, and run totals.
 
 All exporters emit valid, schema-complete documents for *empty* traces
 (a tracer that recorded nothing) and for zero-duration spans (regions
@@ -54,20 +34,9 @@ folded-stack flamegraph when asked).
 from __future__ import annotations
 
 import json
-import math
 import os
 
-from repro.machine.counters import PerfCounters
 from repro.observability.events import SCHEMA
-from repro.observability.hwcounters import TABLE1_COLUMNS
-
-#: versioned schema tag for the metrics rollup
-METRICS_SCHEMA = "repro-metrics/3"
-
-#: the communication verb totals reported next to the edge cut
-COMM_COUNTERS = ("messages", "msg_bytes", "collectives", "collective_bytes",
-                 "remote_gets", "remote_puts", "remote_acc_int",
-                 "remote_acc_float", "remote_bytes", "flushes")
 
 #: event kinds rendered as B/E duration pairs on the runtime lane
 _GLOBAL_SPANS = ("barrier", "stall")
@@ -155,238 +124,31 @@ def chrome_trace(tracer) -> dict:
             "otherData": meta}
 
 
-#: per-pair fields of the traffic matrix, in row order
-TRAFFIC_FIELDS = ("messages", "msg_bytes", "gets", "puts", "acc_int",
-                  "acc_float", "rma_bytes")
-
-#: traffic-matrix field -> the PerfCounters total it must reconcile with
-_TRAFFIC_TOTALS = {"messages": "messages", "msg_bytes": "msg_bytes",
-                   "gets": "remote_gets", "puts": "remote_puts",
-                   "acc_int": "remote_acc_int",
-                   "acc_float": "remote_acc_float",
-                   "rma_bytes": "remote_bytes"}
-
-
-def traffic_matrix(tracer) -> dict:
-    """Per-(src, dst) rank-pair traffic from the traced DM verbs.
-
-    See the module docstring for semantics.  Always schema-complete:
-    an SM trace (no communication verbs) yields an empty ``pairs`` list
-    with all-zero totals.
-    """
-    pairs: dict[tuple[int, int], dict] = {}
-
-    def entry(src: int, dst: int) -> dict:
-        return pairs.setdefault((src, dst), dict.fromkeys(TRAFFIC_FIELDS, 0))
-
-    for ev in tracer.events:
-        if ev.kind == "send" and ev.lane is not None:
-            e = entry(ev.lane, int(ev.data["dest"]))
-            e["messages"] += 1
-            e["msg_bytes"] += int(ev.data["nbytes"])
-        elif ev.kind == "rma" and ev.lane is not None:
-            owner = int(ev.data["owner"])
-            if owner == ev.lane:
-                continue  # local window access: no network traffic
-            e = entry(ev.lane, owner)
-            ops = int(ev.data.get("ops", ev.data["items"]))
-            if ev.label == "get":
-                e["gets"] += ops
-            elif ev.label == "put":
-                e["puts"] += ops
-            else:
-                kind = ("acc_float" if ev.data.get("dtype") == "float"
-                        else "acc_int")
-                e[kind] += ops
-            e["rma_bytes"] += int(ev.data.get("nbytes",
-                                              8 * int(ev.data["items"])))
-    rows = [{"src": s, "dst": d, **pairs[(s, d)]}
-            for s, d in sorted(pairs)]
-    totals = {counter: sum(r[field] for r in rows)
-              for field, counter in _TRAFFIC_TOTALS.items()}
-    return {"ranks": tracer.rt.P, "pairs": rows, "totals": totals}
-
-
-def critical_path(tracer) -> dict:
-    """Critical-path attribution over the barrier-delimited intervals.
-
-    Per region/superstep the *bounding lane* is the lane with the
-    largest span (first on ties); its interval time splits into
-    ``comm`` (the machine's comm-counter weights applied to that lane's
-    counter delta, clamped to the interval), ``injected`` (the fault
-    layer's span stretch on that lane), and ``compute`` (the rest, so
-    the three sum to the interval exactly).  Two identities hold, both
-    to float associativity:
-
-    * run:   compute + comm + injected_stall + sync + recovery_stall
-      == ``time_mtu``;
-    * lane:  busy + idle + sync + recovery_stall == ``time_mtu`` for
-      *every* lane -- ``off_path_idle`` is Σ lane idle, the flame
-      exporter's ``[off-path]`` frames.
-
-    ``totals["reconciled"]`` reports the run identity under a tight
-    relative tolerance (:meth:`Tracer.reconcile_time`).
-    """
-    machine = tracer.rt.machine
-    P = tracer.rt.P
-    intervals = []
-    compute = comm = injected = sync = recovery = 0.0
-    lane_busy = [0.0] * P
-    lane_idle = [0.0] * P
-    lane_critical = [0.0] * P
-    for ev in tracer.events:
-        if ev.kind in ("region", "superstep"):
-            spans = ev.data["spans"]
-            dur = ev.dur
-            bl = (max(range(len(spans)), key=lambda t: spans[t])
-                  if spans else 0)
-            deltas = ev.data["deltas"]
-            delta = deltas[bl] if bl < len(deltas) else {}
-            parts = machine.time_parts(PerfCounters(**delta))
-            cm = min(sum(parts.get(k, 0.0) for k in COMM_COUNTERS), dur)
-            stalls = ev.data.get("stalls")
-            inj = (min(stalls[bl], dur - cm)
-                   if stalls and bl < len(stalls) else 0.0)
-            cp = dur - cm - inj
-            compute += cp
-            comm += cm
-            injected += inj
-            for t in range(P):
-                s = min(spans[t], dur) if t < len(spans) else 0.0
-                lane_busy[t] += s
-                lane_idle[t] += dur - s
-            if bl < P:
-                lane_critical[bl] += dur
-            intervals.append({"index": ev.data["index"], "kind": ev.kind,
-                              "label": ev.label, "lane": bl, "time": dur,
-                              "compute": cp, "comm": cm, "injected": inj})
-        elif ev.kind == "barrier":
-            sync += ev.dur
-        elif ev.kind == "stall":
-            recovery += ev.dur
-    decomposed, actual = tracer.reconcile_time()
-    totals = {
-        "compute": compute,
-        "comm": comm,
-        "injected_stall": injected,
-        "sync": sync,
-        "recovery_stall": recovery,
-        "off_path_idle": sum(lane_idle),
-        "decomposed_mtu": decomposed,
-        "time_mtu": actual,
-        "reconciled": math.isclose(decomposed, actual,
-                                   rel_tol=1e-9, abs_tol=1e-6),
-    }
-    lanes = [{"lane": t, "critical": lane_critical[t],
-              "busy": lane_busy[t], "idle": lane_idle[t]}
-             for t in range(P)]
-    return {"totals": totals, "lanes": lanes, "intervals": intervals}
-
-
 def metrics_rollup(tracer) -> dict:
-    """Counter time-series per region/superstep, plus phase/cut/run views.
+    """The ``repro-metrics/3`` document of the tracer's fold.
 
-    ``steps`` is the per-region/superstep table, ``series`` pivots it
-    into one array per counter name, ``phases`` aggregates steps by
-    their ``rt.annotate`` label (in first-occurrence order), ``cache``
-    renders the phases as the paper's Table-1 cache columns (reads /
-    writes / L1 / L2 / L3 / TLB misses plus the per-read L1 miss rate),
-    ``cut`` is the partition edge-cut summary (``null`` when the tracer
-    was attached without a graph) and ``comm`` the communication verb
-    totals it bounds, ``traffic`` the per-rank-pair matrix those verbs
-    decompose into (:func:`traffic_matrix`), ``critical_path`` the
-    bounding-lane time decomposition (:func:`critical_path`),
-    ``frontier`` collects the traversal samples, ``switches`` the
-    push<->pull direction decisions with their trigger operands, and
-    ``totals`` are the reconciled run totals.
+    See :meth:`~repro.observability.sinks.RollupSink.rollup` for the
+    keys; raises ``AttributeError`` when no attached sink retains or
+    folds the run.
     """
-    steps = []
-    frontier = []
-    switches = []
-    phase_order: list[str] = []
-    phases: dict[str, dict] = {}
-    for ev in tracer.events:
-        if ev.kind in ("region", "superstep"):
-            counters: dict[str, float] = {}
-            for d in ev.data["deltas"]:
-                for k, v in d.items():
-                    counters[k] = counters.get(k, 0) + v
-            steps.append({"index": ev.data["index"], "kind": ev.kind,
-                          "label": ev.label, "ts": ev.ts, "time": ev.dur,
-                          "counters": counters})
-            agg = phases.get(ev.label)
-            if agg is None:
-                phase_order.append(ev.label)
-                agg = phases[ev.label] = {"label": ev.label, "events": 0,
-                                          "time": 0.0, "counters": {}}
-            agg["events"] += 1
-            agg["time"] += ev.dur
-            for k, v in counters.items():
-                agg["counters"][k] = agg["counters"].get(k, 0) + v
-        elif ev.kind == "frontier":
-            frontier.append(dict(ev.data))
-        elif ev.kind == "switch":
-            switches.append({"ts": ev.ts, **ev.data})
-    names = sorted({k for s in steps for k in s["counters"]})
-    series = {k: [s["counters"].get(k, 0) for s in steps] for k in names}
-    traced = tracer.traced_totals()
-    totals = traced.to_dict()
-    phase_rows = [phases[label] for label in phase_order]
-    roll = {
-        "schema": METRICS_SCHEMA,
-        "meta": tracer.meta(),
-        "time_mtu": tracer.rt.time - tracer.start_time,
-        "steps": steps,
-        "series": series,
-        "phases": phase_rows,
-        "cache": _cache_view(phase_rows),
-        "cut": tracer.cut,
-        "comm": {k: totals[k] for k in COMM_COUNTERS if totals[k]},
-        "traffic": traffic_matrix(tracer),
-        "critical_path": critical_path(tracer),
-        "frontier": frontier,
-        "switches": switches,
-        "totals": {k: v for k, v in totals.items() if v},
-    }
-    # wall-clock self-profiling block: only when explicitly enabled
-    # (repro trace --wallclock), so default rollups stay byte-identical
-    # and deterministic
-    wallclock = getattr(tracer, "wallclock", None)
-    if wallclock is not None:
-        roll["wallclock"] = wallclock.block()
-    return roll
-
-
-def _cache_view(phase_rows: list[dict]) -> dict:
-    """Table-1-style cache columns per phase (always schema-complete)."""
-    rows = []
-    for phase in phase_rows:
-        c = phase["counters"]
-        row = {"label": phase["label"]}
-        for k in TABLE1_COLUMNS:
-            row[k] = int(c.get(k, 0))
-        reads = row["reads"]
-        row["l1_per_read"] = (row["l1_misses"] / reads) if reads else 0.0
-        rows.append(row)
-    return {"columns": list(TABLE1_COLUMNS) + ["l1_per_read"], "rows": rows}
+    return tracer.fold().rollup()
 
 
 def write_outputs(tracer, outdir: str, flame: bool = False) -> dict:
     """Write whatever views the tracer's sinks can back.
 
     A buffered tracer (the default) writes ``events.jsonl``,
-    ``trace.json``, ``metrics.json`` exactly as before -- byte-identical
-    outputs.  With bounded-memory sinks instead, each export comes from
-    the sink that can answer it: a :class:`~repro.observability.sinks.
-    JsonlStreamSink` already streamed ``events.jsonl`` (it is closed
-    here and its path returned), a :class:`~repro.observability.sinks.
-    RollupSink` renders ``metrics.json`` from its online accumulators,
-    and a :class:`~repro.observability.sinks.SamplingSink` renders the
-    Chrome/flame span views from its retained sample.  Views no
-    attached sink can back are skipped rather than failed.  With
-    ``flame=True`` also writes the folded-stack flamegraph
-    ``flame.folded``.  Returns the ``{view: path}`` map of what was
-    written.
+    ``trace.json`` and ``metrics.json``.  With bounded-memory sinks
+    instead, each export comes from the sink that can answer it: a
+    :class:`~repro.observability.sinks.JsonlStreamSink` already
+    streamed ``events.jsonl`` (it is closed here and its path
+    returned), and a :class:`~repro.observability.sinks.SamplingSink`
+    renders the Chrome/flame span views from its retained sample.
+    ``metrics.json`` always comes from the tracer's one fold
+    (:meth:`Tracer.fold`).  Views no attached sink can back are skipped
+    rather than failed.  With ``flame=True`` also writes the
+    folded-stack flamegraph ``flame.folded``.  Returns the
+    ``{view: path}`` map of what was written.
     """
     from repro.observability.sinks import (
         BufferSink, JsonlStreamSink, SamplingSink,
@@ -397,40 +159,34 @@ def write_outputs(tracer, outdir: str, flame: bool = False) -> dict:
     if stream is not None:
         stream.close()
         paths["jsonl"] = stream.path
+    spans = None  # what the span views render: the buffer or a sample
+    sampler = tracer.find_sink(SamplingSink)
     if tracer.find_sink(BufferSink) is not None:
+        spans = tracer
         if "jsonl" not in paths:
             paths["jsonl"] = os.path.join(outdir, "events.jsonl")
             with open(paths["jsonl"], "w") as fh:
                 fh.write("\n".join(to_jsonl_lines(tracer)) + "\n")
-        paths["chrome"] = os.path.join(outdir, "trace.json")
-        paths["metrics"] = os.path.join(outdir, "metrics.json")
-        with open(paths["chrome"], "w") as fh:
-            fh.write(_dumps(chrome_trace(tracer)) + "\n")
-        with open(paths["metrics"], "w") as fh:
-            fh.write(_dumps(metrics_rollup(tracer)) + "\n")
-        if flame:
-            from repro.observability.flame import write_flame
-            paths["flame"] = write_flame(
-                tracer, os.path.join(outdir, "flame.folded"))
-        return paths
-    roll = tracer._rollup_sink()
-    if roll is not None:
-        paths["metrics"] = os.path.join(outdir, "metrics.json")
-        with open(paths["metrics"], "w") as fh:
-            fh.write(_dumps(roll.rollup()) + "\n")
-    sampler = tracer.find_sink(SamplingSink)
-    if sampler is not None:
-        view = sampler.view()
+    elif sampler is not None:
+        spans = sampler.view()
+    if spans is not None:
         paths["chrome"] = os.path.join(outdir, "trace.json")
         with open(paths["chrome"], "w") as fh:
-            fh.write(_dumps(chrome_trace(view)) + "\n")
-        if flame:
-            from repro.observability.flame import write_flame
-            paths["flame"] = write_flame(
-                view, os.path.join(outdir, "flame.folded"))
+            fh.write(_dumps(chrome_trace(spans)) + "\n")
+    try:
+        fold = tracer.fold()
+    except AttributeError:  # stream-only: nothing retains or folds the run
+        fold = None
+    if fold is not None:
+        paths["metrics"] = os.path.join(outdir, "metrics.json")
+        with open(paths["metrics"], "w") as fh:
+            fh.write(_dumps(fold.rollup()) + "\n")
+    if flame and spans is not None:
+        from repro.observability.flame import write_flame
+        paths["flame"] = write_flame(
+            spans, os.path.join(outdir, "flame.folded"))
     return paths
 
 
-__all__ = ["COMM_COUNTERS", "METRICS_SCHEMA", "SCHEMA", "TRAFFIC_FIELDS",
-           "chrome_trace", "critical_path", "metrics_rollup",
-           "to_jsonl_lines", "traffic_matrix", "write_outputs"]
+__all__ = ["SCHEMA", "chrome_trace", "metrics_rollup", "to_jsonl_lines",
+           "write_outputs"]

@@ -13,8 +13,8 @@ weight.  We fold the simulated timeline as::
   ``rt.annotate`` (``pr.pull``, ``bfs.kfilter [seq]``, ...), or one of
   the synthetic frames ``[off-path]`` (the lane's slack inside a region
   whose critical path was another lane -- exactly the
-  ``off_path_idle`` total of :func:`repro.observability.export.
-  critical_path`), ``[barrier]`` and ``[stall]``
+  ``off_path_idle`` total of the metrics rollup's ``critical_path``),
+  ``[barrier]`` and ``[stall]``
   (synchronization / recovery waits).  ``[stall]`` appears two ways:
   barrier-gating recovery stalls land on every lane, while per-lane
   injected span stretch (SM stragglers, lock-preempt waits -- the

@@ -7,7 +7,7 @@ compact snapshot line in an append-only JSONL timeline
 (``BENCH_history.jsonl``, schema ``repro-bench-history/1``), and the
 CLI renders per-cell trend tables across snapshots with regression
 flagging.  The committed timeline is seeded from the committed
-``BENCH_perf.json`` (deterministic: no timestamp unless ``--stamp``),
+``BENCH_trace.json`` (deterministic: no timestamp unless ``--stamp``),
 and CI appends a stamped snapshot per run so the artifact carries the
 measured trajectory even though the committed file stays fixed.
 

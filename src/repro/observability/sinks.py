@@ -14,16 +14,14 @@ attached sink, and each sink decides what to retain:
   ``repro-trace/1`` header line at attach, one compact JSON line per
   event as it happens.  The finished file is byte-identical to the
   post-hoc :func:`repro.observability.export.to_jsonl_lines` output.
-* :class:`RollupSink` -- online, bounded-memory computation of the
-  **full** ``repro-metrics/3`` rollup: per-step/per-phase aggregates,
-  the per-rank-pair traffic matrix, the critical-path decomposition,
-  reconciled run totals.  State is O(steps + phases + rank pairs), not
-  O(events) -- DM communication verbs fold into the matrix and are
-  dropped.  :meth:`RollupSink.rollup` is proven equal (same serialized
-  bytes) to the post-hoc :func:`~repro.observability.export.
-  metrics_rollup` on every committed bench cell -- the bench generator
-  asserts it per cell, so the CI staleness gate re-proves it on every
-  run.
+* :class:`RollupSink` -- the one fold of a run into the **full**
+  ``repro-metrics/3`` rollup: per-step/per-phase aggregates, the
+  per-rank-pair traffic matrix, the critical-path decomposition,
+  reconciled run totals.  Attached, it folds online in bounded memory:
+  state is O(steps + phases + rank pairs), not O(events) -- DM
+  communication verbs fold into the matrix and are dropped.  A
+  buffered tracer's post-hoc rollup is the same fold replayed over the
+  buffer (:meth:`Tracer.fold`), so the two agree by construction.
 * :class:`SamplingSink` -- deterministic seeded head + reservoir
   retention of *span* events (regions, supersteps, barriers, stalls)
   for Chrome/flame export at scales where retaining everything is
@@ -50,6 +48,26 @@ import random
 
 from repro.machine.counters import PerfCounters
 from repro.observability.events import TraceEvent, approx_value_nbytes
+from repro.observability.hwcounters import TABLE1_COLUMNS
+
+#: versioned schema tag for the metrics rollup
+METRICS_SCHEMA = "repro-metrics/3"
+
+#: the communication verb totals reported next to the edge cut
+COMM_COUNTERS = ("messages", "msg_bytes", "collectives", "collective_bytes",
+                 "remote_gets", "remote_puts", "remote_acc_int",
+                 "remote_acc_float", "remote_bytes", "flushes")
+
+#: per-pair fields of the traffic matrix, in row order
+TRAFFIC_FIELDS = ("messages", "msg_bytes", "gets", "puts", "acc_int",
+                  "acc_float", "rma_bytes")
+
+#: traffic-matrix field -> the PerfCounters total it must reconcile with
+_TRAFFIC_TOTALS = {"messages": "messages", "msg_bytes": "msg_bytes",
+                   "gets": "remote_gets", "puts": "remote_puts",
+                   "acc_int": "remote_acc_int",
+                   "acc_float": "remote_acc_float",
+                   "rma_bytes": "remote_bytes"}
 
 #: event kinds the sampling sink retains (the span timeline the
 #: Chrome/flame exporters render; instants fold into the rollup)
@@ -85,7 +103,8 @@ class TraceSink:
         self.peak_nbytes = 0
 
     def bind(self, tracer) -> None:
-        """Called once when the owning tracer attaches this sink."""
+        """Called once when a tracer attaches this sink (or, for a
+        :class:`RollupSink`, replays its buffer into it)."""
         self.tracer = tracer
 
     def on_event(self, ev: TraceEvent) -> None:
@@ -110,8 +129,8 @@ class BufferSink(TraceSink):
     """Retain every event in emission order (the pre-sink behavior).
 
     The default sink: ``tracer.events`` resolves to :attr:`events`, so
-    every post-hoc exporter -- Chrome, JSONL, metrics, flame -- works
-    unchanged and byte-identically.
+    the post-hoc exporters -- Chrome, JSONL, flame -- render from it,
+    and :meth:`Tracer.fold` replays it for the metrics.
     """
 
     name = "buffer"
@@ -179,20 +198,61 @@ class JsonlStreamSink(TraceSink):
             self._fh = None
 
 
+def _cache_view(phase_rows: list[dict]) -> dict:
+    """Table-1-style cache columns per phase (always schema-complete)."""
+    rows = []
+    for phase in phase_rows:
+        c = phase["counters"]
+        row = {"label": phase["label"]}
+        for k in TABLE1_COLUMNS:
+            row[k] = int(c.get(k, 0))
+        reads = row["reads"]
+        row["l1_per_read"] = (row["l1_misses"] / reads) if reads else 0.0
+        rows.append(row)
+    return {"columns": list(TABLE1_COLUMNS) + ["l1_per_read"], "rows": rows}
+
+
 class RollupSink(TraceSink):
-    """Online, bounded-memory ``repro-metrics/3`` rollup.
+    """The ``repro-metrics/3`` fold: every metric of a run, event by event.
 
-    Maintains exactly the accumulators the post-hoc
-    :func:`~repro.observability.export.metrics_rollup` derives by
-    walking the event list -- in the same per-event order, so every
-    float lands identically and :meth:`rollup` serializes to the same
-    bytes.  Communication verbs (``send``/``rma``) fold straight into
-    the per-rank-pair matrix and are not retained; the dominant cost of
-    a large DM trace therefore never materializes.
+    Attached to a tracer it folds online in bounded memory; for a
+    buffered tracer :meth:`Tracer.fold` replays the buffer through a
+    fresh instance, so the exports, the reconciliation surface
+    (:meth:`traced_totals`, :attr:`decomposed_mtu`, :meth:`critical`)
+    and the bench cells all read this one fold.  Communication verbs
+    (``send``/``rma``) fold straight into the per-rank-pair matrix and
+    are not retained; the dominant cost of a large DM trace therefore
+    never materializes.
 
-    Also backs the tracer's reconciliation surface when no buffer is
-    attached: :meth:`traced_totals`, :attr:`decomposed_mtu`, and
-    :meth:`critical` replace the post-hoc walks.
+    What the folded numbers mean:
+
+    * :meth:`traffic` -- per ``(src, dst)`` rank pair: messages and
+      message bytes from traced sends, and the get / put /
+      int-accumulate / float-accumulate op counts plus RMA bytes from
+      traced verbs.  Local verbs (``owner == rank``) charge plain
+      memory traffic, not network counters, and are excluded; on
+      fault-free runs the totals (and the per-source row sums against
+      each rank's own counters) reconcile *exactly* with the run's
+      ``messages``/``msg_bytes``/``remote_*`` counters.  The fault
+      layer recharges counters on retries without re-emitting trace
+      events, so under a fault plan the matrix counts first-attempt
+      traffic only.
+    * :meth:`critical` -- per region/superstep the *bounding lane* is
+      the lane with the largest span (first on ties); its interval time
+      splits into ``comm`` (the machine's comm-counter weights applied
+      to that lane's counter delta, clamped to the interval),
+      ``injected`` (the fault layer's span stretch on that lane), and
+      ``compute`` (the rest, so the three sum to the interval exactly);
+      barrier episodes are ``sync`` and recovery waits
+      ``recovery_stall``.  Two identities hold, both to float
+      associativity:
+
+      - run:  compute + comm + injected_stall + sync + recovery_stall
+        == ``time_mtu`` (``totals["reconciled"]``, under a tight
+        relative tolerance);
+      - lane: busy + idle + sync + recovery_stall == ``time_mtu`` for
+        *every* lane -- ``off_path_idle`` is Σ lane idle, the flame
+        exporter's ``[off-path]`` frames.
     """
 
     name = "rollup"
@@ -270,7 +330,6 @@ class RollupSink(TraceSink):
                                                   8 * int(ev.data["items"])))
 
     def _on_step(self, ev: TraceEvent) -> None:
-        from repro.observability.export import COMM_COUNTERS
         deltas = ev.data["deltas"]
         counters: dict[str, float] = {}
         for d in deltas:
@@ -323,7 +382,6 @@ class RollupSink(TraceSink):
         self._grow(interval)
 
     def _pair(self, src: int, dst: int) -> dict:
-        from repro.observability.export import TRAFFIC_FIELDS
         key = (src, dst)
         e = self._pairs.get(key)
         if e is None:
@@ -336,7 +394,7 @@ class RollupSink(TraceSink):
         self._nbytes += 64 + approx_value_nbytes(row)
         self._mark()
 
-    # -- snapshot views (each equals its post-hoc counterpart) --------------------
+    # -- snapshot views ---------------------------------------------------------------
     @property
     def decomposed_mtu(self) -> float:
         """Σ dur over region/superstep/stall/barrier events, in order --
@@ -348,8 +406,11 @@ class RollupSink(TraceSink):
         return self._totals.copy()
 
     def traffic(self) -> dict:
-        """The per-rank-pair matrix (== :func:`export.traffic_matrix`)."""
-        from repro.observability.export import _TRAFFIC_TOTALS
+        """The per-rank-pair traffic matrix (``rollup["traffic"]``).
+
+        Always schema-complete: an SM trace (no communication verbs)
+        yields an empty ``pairs`` list with all-zero totals.
+        """
         rows = [{"src": s, "dst": d, **self._pairs[(s, d)]}
                 for s, d in sorted(self._pairs)]
         totals = {counter: sum(r[field] for r in rows)
@@ -357,7 +418,7 @@ class RollupSink(TraceSink):
         return {"ranks": self.tracer.rt.P, "pairs": rows, "totals": totals}
 
     def critical(self) -> dict:
-        """The decomposition (== :func:`export.critical_path`)."""
+        """The critical-path decomposition (``rollup["critical_path"]``)."""
         decomposed = self._decomposed
         actual = self.tracer.rt.time - self.tracer.start_time
         totals = {
@@ -379,15 +440,25 @@ class RollupSink(TraceSink):
                 "intervals": list(self._intervals)}
 
     def rollup(self) -> dict:
-        """The full ``repro-metrics/3`` document, incrementally built.
+        """The full ``repro-metrics/3`` document.
 
-        Serializes to the same bytes as
-        :func:`~repro.observability.export.metrics_rollup` over a full
-        buffer of the same run (asserted per committed bench cell).
+        ``steps`` is the per-region/superstep table, ``series`` pivots it
+        into one array per counter name, ``phases`` aggregates steps by
+        their ``rt.annotate`` label (in first-occurrence order),
+        ``cache`` renders the phases as the paper's Table-1 cache
+        columns (reads / writes / L1 / L2 / L3 / TLB misses plus the
+        per-read L1 miss rate), ``cut`` is the partition edge-cut
+        summary (``null`` when the tracer was attached without a graph)
+        and ``comm`` the communication verb totals it bounds,
+        ``traffic`` the per-rank-pair matrix those verbs decompose into
+        (:meth:`traffic`), ``critical_path`` the bounding-lane time
+        decomposition (:meth:`critical`), ``frontier`` collects the
+        traversal samples, ``switches`` the push<->pull direction
+        decisions with their trigger operands, and ``totals`` are the
+        reconciled run totals.  A ``wallclock`` block is added only when
+        the tracer's wall-clock self-profiler is enabled, so default
+        rollups stay deterministic.
         """
-        from repro.observability.export import (
-            COMM_COUNTERS, METRICS_SCHEMA, _cache_view,
-        )
         tracer = self.tracer
         names = sorted({k for s in self._steps for k in s["counters"]})
         series = {k: [s["counters"].get(k, 0) for s in self._steps]
@@ -526,5 +597,6 @@ class TraceView:
         return self._meta
 
 
-__all__ = ["SPAN_KINDS", "BufferSink", "JsonlStreamSink", "RollupSink",
-           "SamplingSink", "TraceSink", "TraceView", "format_bytes"]
+__all__ = ["COMM_COUNTERS", "METRICS_SCHEMA", "SPAN_KINDS", "TRAFFIC_FIELDS",
+           "BufferSink", "JsonlStreamSink", "RollupSink", "SamplingSink",
+           "TraceSink", "TraceView", "format_bytes"]

@@ -114,13 +114,33 @@ class Tracer:
                 return sink
         return None
 
-    def _rollup_sink(self) -> RollupSink | None:
-        """The attached rollup accumulator, direct or sampler-embedded."""
+    def fold(self) -> RollupSink:
+        """The run folded into its ``repro-metrics/3`` accumulators.
+
+        The attached :class:`RollupSink` (direct or inside a
+        :class:`SamplingSink`) when there is one; otherwise a fresh
+        :class:`RollupSink` fed the buffered events in emission order --
+        the same fold, so the online and post-hoc rollups are equal by
+        construction.  Every metric, the reconciliation surface and the
+        critical path read this.
+        """
         sink = self.find_sink(RollupSink)
         if sink is not None:
             return sink
         sampler = self.find_sink(SamplingSink)
-        return sampler.rollup if sampler is not None else None
+        if sampler is not None:
+            return sampler.rollup
+        buffer = self.find_sink(BufferSink)
+        if buffer is None:
+            raise AttributeError(
+                "this tracer has no RollupSink to read and no BufferSink "
+                "to replay (sinks: " + ", ".join(s.name for s in self.sinks)
+                + "); metrics and reconciliation need one of them")
+        fold = RollupSink()
+        fold.bind(self)
+        for ev in buffer.events:
+            fold.on_event(ev)
+        return fold
 
     def enable_wallclock(self) -> "WallclockProfiler":
         """Attach the wall-clock self-profiler (idempotent)."""
@@ -324,29 +344,8 @@ class Tracer:
     # -- reconciliation ------------------------------------------------------------------
     def traced_totals(self) -> PerfCounters:
         """Sum of every recorded counter delta (regions/supersteps +
-        barrier episodes) -- must equal the run-level totals.
-
-        Answered from the buffered events when a :class:`BufferSink` is
-        attached, else from the online rollup accumulator -- both sum
-        the same integer deltas in emission order, so the reconciliation
-        surface is sink-independent.
-        """
-        if self.find_sink(BufferSink) is None:
-            roll = self._rollup_sink()
-            if roll is None:
-                raise AttributeError(
-                    "traced_totals() needs a BufferSink or RollupSink; "
-                    "sinks: " + ", ".join(s.name for s in self.sinks))
-            return roll.traced_totals()
-        acc = PerfCounters()
-        for ev in self.events:
-            if ev.kind in ("region", "superstep"):
-                for d in ev.data["deltas"]:
-                    for k, v in d.items():
-                        setattr(acc, k, getattr(acc, k) + v)
-            elif ev.kind == "barrier":
-                acc.barriers += ev.data["barriers"]
-        return acc
+        barrier episodes) -- must equal the run-level totals."""
+        return self.fold().traced_totals()
 
     def reconcile(self) -> tuple[PerfCounters, PerfCounters]:
         """(traced, actual) counter totals since attach/reset.
@@ -363,47 +362,17 @@ class Tracer:
         The decomposed total sums every timed event in emission order --
         region/superstep spans, recovery stalls, barrier episodes --
         which is exactly the partition the critical-path attribution
-        (:func:`repro.observability.export.critical_path`) refines into
-        critical-compute / critical-comm / sync components.  The two
-        totals agree to float associativity (the DM runtime adds
-        ``span + stall + barrier`` in one expression), so callers
-        compare with a tight relative tolerance rather than ``==``.
-
-        Like :meth:`traced_totals`, answered from the buffer when one
-        is attached, else from the rollup accumulator (which added the
-        same durations in the same emission order, so the float is
-        bit-identical).
+        (:meth:`RollupSink.critical`) refines into critical-compute /
+        critical-comm / sync components.  The two totals agree to float
+        associativity (the DM runtime adds ``span + stall + barrier`` in
+        one expression), so callers compare with a tight relative
+        tolerance rather than ``==``.
         """
-        actual = self.rt.time - self.start_time
-        if self.find_sink(BufferSink) is None:
-            roll = self._rollup_sink()
-            if roll is None:
-                raise AttributeError(
-                    "reconcile_time() needs a BufferSink or RollupSink; "
-                    "sinks: " + ", ".join(s.name for s in self.sinks))
-            return roll.decomposed_mtu, actual
-        decomposed = 0.0
-        for ev in self.events:
-            if ev.kind in ("region", "superstep", "stall", "barrier"):
-                decomposed += ev.dur
-        return decomposed, actual
+        return self.fold().decomposed_mtu, self.rt.time - self.start_time
 
     def critical_totals(self) -> dict:
-        """The critical-path ``totals`` block, whichever sink can answer.
-
-        Buffered tracers compute it post-hoc
-        (:func:`repro.observability.export.critical_path`); rollup /
-        sampling tracers read the online accumulator.
-        """
-        if self.find_sink(BufferSink) is not None:
-            from repro.observability.export import critical_path
-            return critical_path(self)["totals"]
-        roll = self._rollup_sink()
-        if roll is None:
-            raise AttributeError(
-                "critical_totals() needs a BufferSink or RollupSink; "
-                "sinks: " + ", ".join(s.name for s in self.sinks))
-        return roll.critical()["totals"]
+        """The critical-path ``totals`` block of :meth:`fold`."""
+        return self.fold().critical()["totals"]
 
 
 class WallclockProfiler:

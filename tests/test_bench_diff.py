@@ -176,11 +176,6 @@ class TestDiffCli:
         assert rc == 0
         assert "clean" in capsys.readouterr().out
 
-    def test_perf_rollup_diffs_too(self, capsys, tmp_path):
-        committed = str(ROOT / "BENCH_perf.json")
-        assert main(["bench", "diff", committed, committed]) == 0
-        assert "clean" in capsys.readouterr().out
-
     def test_drift_exits_one_with_attribution(self, capsys, baseline,
                                               tmp_path):
         cand = self._write(tmp_path, "mut.json", _perturb(baseline, 10.0))

@@ -1,7 +1,7 @@
 """Tests for the append-only bench-history timeline.
 
 The committed ``BENCH_history.jsonl`` is pinned against a fresh
-snapshot of the committed ``BENCH_perf.json`` (both are deterministic),
+snapshot of the committed ``BENCH_trace.json`` (both are deterministic),
 the trend/regression math is unit-tested on synthetic timelines, and
 the ``repro bench history`` / ``bench diff --history`` CLI paths are
 exercised end to end.
@@ -39,10 +39,10 @@ class TestCommittedTimeline:
     def test_seed_line_matches_fresh_snapshot(self):
         """Determinism pin: the committed timeline's seed line is
         byte-equal to a fresh snapshot of the committed perf baseline."""
-        with open("BENCH_perf.json") as fh:
+        with open("BENCH_trace.json") as fh:
             doc = json.load(fh)
         snap = snapshot_from_doc(doc, label="seed",
-                                 source="BENCH_perf.json")
+                                 source="BENCH_trace.json")
         with open("BENCH_history.jsonl") as fh:
             first = fh.readline().rstrip("\n")
         assert first == _dumps(snap)
@@ -99,12 +99,12 @@ class TestTrendMath:
 
 class TestHistoryCLI:
     def _seed(self, tmp_path, times):
-        """A one-line timeline plus a perf doc with the given times."""
-        with open("BENCH_perf.json") as fh:
+        """A one-line timeline plus a bench doc with the given times."""
+        with open("BENCH_trace.json") as fh:
             doc = json.load(fh)
         hist = tmp_path / "h.jsonl"
         append_snapshot(str(hist), snapshot_from_doc(
-            doc, label="seed", source="BENCH_perf.json"))
+            doc, label="seed", source="BENCH_trace.json"))
         cand = copy.deepcopy(doc)
         for cell in cand["cells"]:
             cell["time_mtu"] *= times
@@ -162,7 +162,7 @@ class TestHistoryCLI:
         """`bench diff --history` records the candidate on the timeline
         and prints the trend after the diff verdict."""
         hist, cand = self._seed(tmp_path, 1.0)
-        rc = main(["bench", "diff", "BENCH_perf.json", str(cand),
+        rc = main(["bench", "diff", "BENCH_trace.json", str(cand),
                    "--history", str(hist), "--history-label", "post"])
         assert rc in (0, None)
         out = capsys.readouterr().out

@@ -71,13 +71,12 @@ class TestFoldedStacks:
         # pagerank pull ends in a sequential pr.finalize region: the
         # other lanes fold as [off-path] frames whose total width is
         # the critical-path decomposition's off_path_idle
-        from repro.observability import critical_path
         tracer = _tracer("pagerank", variant="pull")
         parsed = _parse(folded_stacks(tracer))
         off = [(f, c) for f, c in parsed if f[-1] == "[off-path]"]
         assert off, "expected [off-path] leaves under a sequential region"
         assert not any(f[-1] == "[idle]" for f, _ in parsed)
-        total = critical_path(tracer)["totals"]["off_path_idle"]
+        total = tracer.critical_totals()["off_path_idle"]
         assert sum(c for _, c in off) == pytest.approx(total, abs=len(off))
 
     def test_lane_widths_equal_simulated_time(self):

@@ -304,8 +304,7 @@ class TestCriticalPath:
 
     @staticmethod
     def _crit(tracer):
-        from repro.observability import critical_path
-        return critical_path(tracer)
+        return metrics_rollup(tracer)["critical_path"]
 
     def test_sm_decomposition_sums_to_run_time(self):
         crit = self._crit(_trace("pagerank", variant="pull"))
@@ -360,21 +359,23 @@ class TestTrafficMatrix:
     """rollup["traffic"]: per-rank-pair verb/byte matrix reconciles
     exactly with the run counters and the cut bound (PR 9)."""
 
+    @staticmethod
+    def _traffic(tracer):
+        return metrics_rollup(tracer)["traffic"]
+
     def test_totals_reconcile_exactly(self):
-        from repro.observability import traffic_matrix
-        from repro.observability.export import _TRAFFIC_TOTALS
+        from repro.observability.sinks import _TRAFFIC_TOTALS
         for variant in ("push", "pull"):
             tracer = _trace("pagerank", variant=variant, dm=True)
-            tm = traffic_matrix(tracer)
+            tm = self._traffic(tracer)
             totals = tracer.rt.total_counters()
             for counter in _TRAFFIC_TOTALS.values():
                 assert tm["totals"][counter] == getattr(totals, counter), \
                     counter
 
     def test_row_sums_match_per_rank_counters(self):
-        from repro.observability import traffic_matrix
         tracer = _trace("pagerank", variant="pull", dm=True)
-        tm = traffic_matrix(tracer)
+        tm = self._traffic(tracer)
         rt = tracer.rt
         for rank in range(rt.P):
             row = [p for p in tm["pairs"] if p["src"] == rank]
@@ -388,10 +389,9 @@ class TestTrafficMatrix:
         # counters do: the traced traffic obeys the cut-based bound
         from repro.analysis.crosscheck import dm_crosscheck
         from repro.machine.counters import PerfCounters
-        from repro.observability import traffic_matrix
         tracer = _trace("pagerank", variant="push", dm=True, iterations=5)
-        tm = traffic_matrix(tracer)
         roll = metrics_rollup(tracer)
+        tm = roll["traffic"]
         run_totals = tracer.rt.total_counters()
         c = PerfCounters(
             **dict(tm["totals"]),
@@ -407,17 +407,15 @@ class TestTrafficMatrix:
     def test_local_verbs_excluded(self):
         # owner == issuing rank verbs charge no remote counters; the
         # matrix must skip them (no src == dst pairs) yet still close
-        from repro.observability import traffic_matrix
         tracer = _trace("pagerank", variant="push", dm=True)
         local = [ev for ev in tracer.events if ev.kind == "rma"
                  and ev.data["owner"] == ev.lane]
         assert local, "expected owner-local verbs in the trace"
-        tm = traffic_matrix(tracer)
+        tm = self._traffic(tracer)
         assert all(p["src"] != p["dst"] for p in tm["pairs"])
 
     def test_sm_matrix_is_empty(self):
-        from repro.observability import traffic_matrix
-        tm = traffic_matrix(_trace("pagerank", variant="push"))
+        tm = self._traffic(_trace("pagerank", variant="push"))
         assert tm["pairs"] == []
         assert all(v == 0 for v in tm["totals"].values())
 
@@ -508,7 +506,7 @@ class TestExporterEdgeCases:
                                        "payload exported")
 
     def test_zero_read_phase_has_zero_rate(self):
-        from repro.observability.export import _cache_view
+        from repro.observability.sinks import _cache_view
         rows = _cache_view([{"label": "idle", "events": 1, "time": 0.0,
                              "counters": {}}])["rows"]
         assert rows[0]["l1_per_read"] == 0.0

@@ -2,14 +2,11 @@
 
 The contract under test: every bounded-memory sink must be *provably*
 equivalent to the buffered post-hoc path on the surface it claims --
-the RollupSink's incremental ``repro-metrics/3`` document serializes
-to the same bytes as :func:`metrics_rollup` over a full buffer
+the RollupSink folded online serializes to the same bytes as a second,
+distinct RollupSink replayed over the full buffer of the same run
 (including the traffic matrix and the critical path summing to run
 time), the streaming JSONL file equals the post-hoc export, and the
-sampling sink is deterministic under a fixed seed.  The same per-cell
-rollup assertion also runs inside the bench harness, so the committed
-baselines re-certify it in CI (tests/test_trace_cli.py regenerates the
-full sweep).
+sampling sink is deterministic under a fixed seed.
 """
 
 import json
@@ -48,12 +45,23 @@ def _ids(cell):
     return "-".join(f"{k}={v}" for k, v in cell.items())
 
 
+def _replay(tracer, events) -> RollupSink:
+    """A second RollupSink fed a buffered run after the fact."""
+    replay = RollupSink()
+    replay.bind(tracer)
+    for ev in events:
+        replay.on_event(ev)
+    return replay
+
+
 class TestRollupSinkDifferential:
     @pytest.mark.parametrize("cell", CELLS, ids=_ids)
     def test_incremental_rollup_serializes_identically(self, cell):
-        roll = RollupSink()
-        _rt, tracer, _res, _ = run_traced(sinks=[BufferSink(), roll], **cell)
-        assert _dumps(roll.rollup()) == _dumps(metrics_rollup(tracer))
+        buf, roll = BufferSink(), RollupSink()
+        _rt, tracer, _res, _ = run_traced(sinks=[buf, roll], **cell)
+        replay = _replay(tracer, buf.events)
+        assert replay is not roll
+        assert _dumps(roll.rollup()) == _dumps(replay.rollup())
 
     @pytest.mark.parametrize("cell", CELLS, ids=_ids)
     def test_rollup_only_reconciles_without_events(self, cell):
@@ -64,6 +72,21 @@ class TestRollupSinkDifferential:
         assert crit["reconciled"]
         with pytest.raises(AttributeError, match="no BufferSink"):
             tracer.events
+
+    def test_stream_only_tracer_has_no_fold(self, tmp_path):
+        # neither a rollup to read nor a buffer to replay: every fold
+        # reader fails with the one error that names the attached sinks
+        stream = JsonlStreamSink(str(tmp_path / "events.jsonl"))
+        _rt, tracer, _res, _ = run_traced("pagerank", variant="push",
+                                          sinks=[stream])
+        for read in (metrics_rollup, lambda t: t.reconcile(),
+                     lambda t: t.reconcile_time(),
+                     lambda t: t.critical_totals()):
+            with pytest.raises(AttributeError,
+                               match=r"no RollupSink .*sinks: jsonl-stream"):
+                read(tracer)
+        assert write_outputs(tracer, str(tmp_path)) == {
+            "jsonl": stream.path}
 
     def test_traffic_matrix_reconciles_against_counters(self):
         roll = RollupSink()
@@ -221,7 +244,9 @@ class TestSinkReset:
         pagerank(g, rt, direction="push", iterations=2)
         traced, actual = tracer.reconcile()
         assert traced.to_dict() == actual.to_dict()
-        assert _dumps(roll.rollup()) == _dumps(metrics_rollup(tracer))
+        replay = _replay(tracer, buf.events)
+        assert replay is not roll
+        assert _dumps(roll.rollup()) == _dumps(replay.rollup())
         assert _dumps(metrics_rollup(tracer)) == first  # same run, same doc
         tracer.close()
         assert path.read_text() == "\n".join(to_jsonl_lines(tracer)) + "\n"
