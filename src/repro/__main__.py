@@ -108,8 +108,9 @@ def _build_parser() -> argparse.ArgumentParser:
                          "inferred write sets against dynamic traces "
                          "(off by default)")
     an.add_argument("--no-reconcile", action="store_true",
-                    help="with --effects: skip the 12-cell dynamic "
-                         "write-set reconciliation")
+                    help="with --effects: skip the dynamic write-set "
+                         "reconciliation (one traced run per kernel and "
+                         "push/pull)")
     an.add_argument("--format", default="text", choices=("text", "json"),
                     help="output format; json emits one machine-readable "
                          "document over all selected passes "
@@ -367,12 +368,31 @@ def _cmd_run(args) -> int:
 
 
 def _run_summary(r) -> dict:
-    return {
-        "algorithm": r.algorithm,
-        "direction": getattr(r, "direction", getattr(r, "variant", None)),
-        "ok": r.ok,
-        "races": [str(x) for x in r.report.races],
-    }
+    c = r.cell
+    key = ({"algorithm": c.algorithm, "direction": c.variant}
+           if c.plan is None else
+           {"runtime": c.runtime, "algorithm": c.algorithm,
+            "variant": c.variant, "plan": c.plan_name, "seed": c.plan.seed})
+    return {**key, "ok": r.ok, "races": [str(x) for x in r.report.races]}
+
+
+def _report_pass(name: str, runs: list, say, doc: dict) -> bool:
+    """Report one dynamic pass's runs; returns whether any failed."""
+    bad = [r for r in runs if not r.ok]
+    for r in bad:
+        if r.check is not None:
+            say(r.check)
+        for race in r.report.races[:8]:
+            say("  " + str(race))
+    unit = "cell"
+    if name == "faults":
+        from repro.analysis.runner import format_overhead_table
+        say(format_overhead_table(runs))
+        unit = "run"
+    say(f"{name}: {len(bad)} failing {unit}(s) of {len(runs)}")
+    doc["passes"][name] = {unit + "s": [_run_summary(r) for r in runs],
+                           "ok": not bad}
+    return bool(bad)
 
 
 def _cmd_analyze(args) -> int:
@@ -382,8 +402,9 @@ def _cmd_analyze(args) -> int:
     import json as _json
     from pathlib import Path
 
+    from repro.analysis import runner
     from repro.analysis.lint import lint_paths
-    from repro.analysis.runner import analyze_algorithms
+    from repro.harness.config import clamped_scale
 
     # each flag selects its pass; with none given, run everything except
     # the chaos suite and effect inference, which are opt-in (grids of
@@ -396,15 +417,17 @@ def _cmd_analyze(args) -> int:
     do_race = args.race or (args.sm and not args.faults) or default_on
     do_dm = (args.dm and not args.faults) or default_on
     do_faults = args.faults
-    scoped = args.sm or args.dm
-    fault_scope_dm = args.dm or args.all or not scoped
-    fault_scope_sm = args.sm or args.all or not scoped
     do_effects = args.effects
     as_json = args.format == "json"
     say = (lambda *a, **k: None) if as_json else print
     progress = None if as_json else print
     doc: dict = {"schema": "repro-analyze/1", "passes": {}}
     failed = False
+
+    if do_faults and args.fault_seeds < 1:
+        print(f"--fault-seeds must be at least 1, got {args.fault_seeds}",
+              file=sys.stderr)
+        return 2
 
     if do_lint:
         paths = args.paths or [str(Path(__file__).parent / "algorithms")]
@@ -423,96 +446,56 @@ def _cmd_analyze(args) -> int:
         }
         failed |= bool(findings)
 
-    if do_race:
-        say(f"race detector: 7 algorithms x push/pull, "
-            f"P={args.threads}, {args.dataset} n={args.scale}")
-        try:
-            runs = analyze_algorithms(
+    try:
+        if do_race:
+            n_alg = len(args.algorithms or runner.ALGORITHMS)
+            say(f"race detector: {n_alg} algorithm"
+                f"{'' if n_alg == 1 else 's'} x push/pull, "
+                f"P={args.threads}, {args.dataset} n={args.scale}")
+            failed |= _report_pass("race", runner.analyze_algorithms(
                 n=args.scale, P=args.threads, seed=args.seed,
                 slack=args.slack, algorithms=args.algorithms,
-                dataset=args.dataset, progress=progress)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        bad = [r for r in runs if not r.ok]
-        for r in bad:
-            say(r.check)
-            for race in r.report.races[:8]:
-                say("  " + str(race))
-        say(f"race: {len(bad)} failing cell(s) of {len(runs)}")
-        doc["passes"]["race"] = {"cells": [_run_summary(r) for r in runs],
-                                 "ok": not bad}
-        failed |= bool(bad)
-
-    if do_dm:
-        from repro.analysis.dm_runner import analyze_dm
-
-        from repro.harness.config import clamped_scale
-        n_dm = (clamped_scale(args.scale, 96,
-                              reason="the default full-analysis DM pass "
-                                     "caps its epoch grid; pass --dm to "
-                                     "run the requested scale")
-                if not args.dm else args.scale)
-        say(f"epoch checker: 4 DM kernels x backends, "
-            f"P={args.threads}, {args.dataset} n={n_dm}")
-        runs = analyze_dm(n=n_dm, P=args.threads, seed=args.seed,
-                          slack=args.slack, dataset=args.dataset,
-                          progress=progress)
-        bad = [r for r in runs if not r.ok]
-        for r in bad:
-            say(r.check)
-            for race in r.report.races[:8]:
-                say("  " + str(race))
-        say(f"dm: {len(bad)} failing cell(s) of {len(runs)}")
-        doc["passes"]["dm"] = {"cells": [_run_summary(r) for r in runs],
-                               "ok": not bad}
-        failed |= bool(bad)
-
-    if do_faults:
-        from repro.analysis.fault_runner import (
-            analyze_faults, analyze_sm_faults, format_overhead_table,
-        )
-
-        from repro.harness.config import clamped_scale
-        n_f = clamped_scale(args.scale, 96,
-                            reason="the chaos suite replays whole kernel "
-                                   "grids per fault seed")
-        seeds = tuple(range(max(1, args.fault_seeds)))
-        runs = []
-        if fault_scope_dm:
-            say(f"chaos suite: 4 DM kernels x backends x fault plans, "
-                f"P={args.threads}, {args.dataset} n={n_f}, "
-                f"{len(seeds)} fault seed(s)")
-            runs += analyze_faults(n=n_f, P=args.threads, seed=args.seed,
-                                   dataset=args.dataset, fault_seeds=seeds,
-                                   progress=progress)
-        if fault_scope_sm:
-            say(f"chaos suite: 4 SM kernels x push/pull x fault plans, "
-                f"P={args.threads}, {args.dataset} n={n_f}, "
-                f"{len(seeds)} fault seed(s)")
-            runs += analyze_sm_faults(n=n_f, P=args.threads, seed=args.seed,
-                                      dataset=args.dataset,
-                                      fault_seeds=seeds, progress=progress)
-        bad = [r for r in runs if not r.ok]
-        for r in bad:
-            for race in r.races:
-                say("  " + race)
-        say(format_overhead_table(runs))
-        say(f"faults: {len(bad)} failing run(s) of {len(runs)}")
-        doc["passes"]["faults"] = {
-            "runs": [{"runtime": r.runtime, "algorithm": r.algorithm,
-                      "variant": r.variant, "plan": r.plan_name,
-                      "seed": r.seed, "ok": r.ok,
-                      "races": [str(x) for x in r.races]}
-                     for r in runs],
-            "ok": not bad,
-        }
-        failed |= bool(bad)
+                dataset=args.dataset, progress=progress), say, doc)
+        if do_dm:
+            n_dm = (clamped_scale(args.scale, 96,
+                                  reason="the default full-analysis DM pass "
+                                         "caps its epoch grid; pass --dm to "
+                                         "run the requested scale")
+                    if not args.dm else args.scale)
+            say(f"epoch checker: {len(runner.DM_MATRIX)} DM kernels x "
+                f"backends, P={args.threads}, {args.dataset} n={n_dm}")
+            failed |= _report_pass("dm", runner.analyze_dm(
+                n=n_dm, P=args.threads, seed=args.seed, slack=args.slack,
+                dataset=args.dataset, progress=progress), say, doc)
+        if do_faults:
+            n_f = clamped_scale(args.scale, 96,
+                                reason="the chaos suite replays whole kernel "
+                                       "grids per fault seed")
+            seeds = tuple(range(args.fault_seeds))
+            scoped = args.sm or args.dm
+            runs = []
+            for rtm, matrix, axis in (("dm", runner.DM_MATRIX, "backends"),
+                                      ("sm", runner.SM_MATRIX, "push/pull")):
+                if scoped and not (getattr(args, rtm) or args.all):
+                    continue
+                say(f"chaos suite: {len(matrix)} {rtm.upper()} kernels x "
+                    f"{axis} x fault plans, P={args.threads}, "
+                    f"{args.dataset} n={n_f}, {len(seeds)} fault seed(s)")
+                runs += runner.analyze_faults(
+                    n=n_f, P=args.threads, seed=args.seed,
+                    dataset=args.dataset, fault_seeds=seeds, runtimes=(rtm,),
+                    progress=progress)
+            failed |= _report_pass("faults", runs, say, doc)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
 
     if do_effects:
         from repro.analysis.effect_report import render_text, report_to_json
         from repro.analysis.effects import analyze_effects
-        from repro.observability.footprint import reconcile_effects
+        from repro.observability.footprint import (
+            RECONCILE_CELLS, reconcile_effects,
+        )
 
         say(f"effect inference: 17 kernels (SM+DM), rules ANL101-ANL105")
         report = analyze_effects()
@@ -521,7 +504,7 @@ def _cmd_analyze(args) -> int:
         entry = {"report": report_to_json(report), "ok": report.ok}
         if not args.no_reconcile:
             say("reconciling static write sets against dynamic traces "
-                "(14 cells)...")
+                f"({len(RECONCILE_CELLS)} cells)...")
             cells = reconcile_effects(
                 report=report, P=args.threads,
                 progress=None if as_json else (

@@ -1,33 +1,59 @@
-"""Drive the seven paper algorithms under the race detector.
+"""One cell runner for the dynamic passes of ``python -m repro analyze``.
 
-This is the dynamic half of ``python -m repro analyze``: every
-algorithm runs in both directions on a small deterministic instance
-with a :class:`~repro.analysis.race.RaceDetectingMemory` attached, and
-each run's conflict statistics are cross-checked against its Section-4
-PRAM bound.  The same entry points back the opt-in pytest fixture, so
-a kernel regression that introduces an undeclared remote write fails
-both the CLI gate and the test suite.
+A :class:`Cell` names one kernel execution: the runtime (``"sm"`` or
+``"dm"``), the Section-4 algorithm, the variant (an SM direction or a
+DM backend), and an optional named fault plan.  :func:`run_cell` runs
+it on a fresh runtime with the matching checker attached -- the race
+detector (:mod:`repro.analysis.race`) on SM, the epoch checker
+(:mod:`repro.analysis.dm_race`) on DM -- then the optional tracer and
+the optional fault injector, in that order, so the perturbing proxy
+wraps the detecting one and re-issued recovery ops are checked too.
+The returned :class:`CellRun` records every check the pass applied;
+its ``ok`` is their conjunction.
+
+Each pass is a short cell list over one instance pair (plain and
+weighted, from :func:`instance_graph`):
+
+* :func:`analyze_algorithms` -- the seven paper algorithms x push/pull
+  on SM: race-clean and within the Section-4 PRAM conflict bound
+  (:func:`~repro.analysis.crosscheck.crosscheck`);
+* :func:`analyze_dm` -- the four DM kernels x backends
+  (:data:`DM_MATRIX`): epoch-clean, flushed, and within the cut-based
+  communication bound (:func:`~repro.analysis.crosscheck.dm_crosscheck`);
+* :func:`analyze_faults` -- the chaos suite: :data:`DM_MATRIX` and
+  :data:`SM_MATRIX` under seeded fault plans with recovery enabled.
+  Every run must converge to the sequential reference (PageRank to
+  1e-9: recovery replays legally reassociate float sums), stay
+  checker-clean and flushed, and account its overhead: never faster
+  than its fault-free twin, strictly slower whenever recovery did
+  costly work.  SM runs also carry a tracer whose counter
+  reconciliation must hold exactly.  The cut bound is not applied:
+  retransmissions exceed the lossless bound by design, and the
+  overhead table is the fault-mode replacement.
+
+Kernels, checkers, fault layers, references and the tracer are
+imported at call time, so importing this module for
+:func:`instance_graph` (as ``repro trace`` does) stays cheap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable
+import importlib
+import math
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from repro.algorithms.bc import betweenness_centrality
-from repro.algorithms.bfs import bfs
-from repro.algorithms.coloring import boman_coloring
-from repro.algorithms.mst_boruvka import boruvka_mst
-from repro.algorithms.pagerank import pagerank
-from repro.algorithms.sssp_delta import sssp_delta
-from repro.algorithms.triangle import triangle_count
-from repro.analysis.crosscheck import CrossCheckResult, crosscheck
-from repro.analysis.race import RaceReport, attach_race_detector
+import numpy as np
+
 from repro.generators import community_graph, erdos_renyi, rmat, road_network
 from repro.graph.csr import CSRGraph
-from repro.machine.cost_model import XC30, MachineSpec
-from repro.machine.memory import CountingMemory
-from repro.runtime.sm import SMRuntime
+
+if TYPE_CHECKING:
+    from repro.analysis.crosscheck import CrossCheckResult, DMCommCheckResult
+    from repro.analysis.race import RaceReport
+    from repro.graph.partition import Partition1D
+    from repro.runtime.faults import FaultPlan
+    from repro.runtime.sm_faults import SMFaultPlan
 
 #: the seven instrumented algorithms of the paper, in Section-4 order
 ALGORITHMS = ("PR", "TC", "BFS", "SSSP-Δ", "BC", "BGC", "MST")
@@ -35,76 +61,133 @@ ALGORITHMS = ("PR", "TC", "BFS", "SSSP-Δ", "BC", "BGC", "MST")
 #: algorithms that need edge weights on their input graph
 WEIGHTED = frozenset({"SSSP-Δ", "MST"})
 
+#: (algorithm, tuple of backend variants) in Section 6.3 order
+DM_MATRIX = (
+    ("PR", ("mp", "rma-push", "rma-pull")),
+    ("TC", ("rma-pull", "rma-push", "mp")),
+    ("BFS", ("push", "pull", "switching")),
+    ("SSSP-Δ", ("push", "pull")),
+)
+
+#: the SM chaos cells: the four reference-checked kernels x direction
+#: (BC/BGC/MST have no sequential reference wired here; the race pass
+#: covers them fault-free)
+SM_MATRIX = tuple((a, ("push", "pull")) for a in ("PR", "TC", "BFS", "SSSP-Δ"))
+
+#: PageRank iterations per pass (small: the chaos suite is a grid)
+_PR_ITERATIONS = {"race": 5, "dm": 3, "faults": 3}
+
+#: average degree of the generated instances
+_D_BAR = 4.0
+
+#: chaos tolerance against the PageRank reference: recovery replays
+#: reorder float accumulates, which legally reassociates the sums
+_FLOAT_ATOL = 1e-9
+
+#: DM result field counting how often a cut edge may legitimately be
+#: re-examined (PR: iterations; BFS: levels; SSSP-Δ: inner iterations)
+_DM_ROUNDS = {"PR": "iterations", "BFS": "levels",
+              "SSSP-Δ": "inner_iterations"}
+
+#: (runtime, algorithm) -> (module in repro.algorithms, kernel, fixed
+#: keyword arguments); the variant goes in as ``direction=`` on SM and
+#: ``variant=`` on DM
+_KERNELS = {
+    ("sm", "PR"): ("pagerank", "pagerank", {}),
+    ("sm", "TC"): ("triangle", "triangle_count", {}),
+    ("sm", "BFS"): ("bfs", "bfs", {"root": 0}),
+    ("sm", "SSSP-Δ"): ("sssp_delta", "sssp_delta", {"source": 0}),
+    ("sm", "BC"): ("bc", "betweenness_centrality", {"sources": 4, "seed": 0}),
+    ("sm", "BGC"): ("coloring", "boman_coloring", {}),
+    ("sm", "MST"): ("mst_boruvka", "boruvka_mst", {}),
+    ("dm", "PR"): ("dm_pagerank", "dm_pagerank", {}),
+    ("dm", "TC"): ("dm_triangle", "dm_triangle_count", {}),
+    ("dm", "BFS"): ("dm_bfs", "dm_bfs", {"root": 0}),
+    ("dm", "SSSP-Δ"): ("dm_sssp", "dm_sssp_delta", {"source": 0}),
+}
+
 
 @dataclass(frozen=True)
-class AnalysisRun:
-    """One (algorithm, direction) execution under the detector."""
+class Cell:
+    """One kernel execution of an analysis pass."""
 
-    algorithm: str
-    direction: str
-    report: RaceReport
-    check: CrossCheckResult
-    iterations: int
+    runtime: str               #: "sm" or "dm"
+    algorithm: str             #: Section-4 label, e.g. "SSSP-Δ"
+    variant: str               #: SM direction or DM backend
+    plan_name: str = ""        #: fault plan name ("" = fault-free)
+    plan: FaultPlan | SMFaultPlan | None = None
+
+
+@dataclass(frozen=True)
+class CellRun:
+    """One executed :class:`Cell` and the checks its pass applied.
+
+    A check the pass did not apply stays ``None`` and has no vote.
+    """
+
+    cell: Cell
+    report: RaceReport         #: race detector (SM) / epoch checker (DM)
+    time: float                #: rt.time
+    #: the Section-4 conflict bound (SM) / cut bound (DM) verdict
+    check: CrossCheckResult | DMCommCheckResult | None = None
+    pending_unflushed: int | None = None   #: DM ops never flushed
+    unattributed_ops: int | None = None    #: DM RMA ops with no window=
+    reconciled: bool | None = None         #: Tracer.reconcile holds
+    converged: bool | None = None          #: result equals the reference
+    base_time: float | None = None         #: fault-free twin's rt.time
+    fired: int = 0             #: fault events injected
+    costly: int = 0            #: recovery actions that must cost time
+
+    @property
+    def overhead(self) -> float:
+        return self.time - self.base_time
+
+    @property
+    def overhead_accounted(self) -> bool:
+        """No faulted run may be faster; costly recovery must be slower."""
+        if self.time < self.base_time - 1e-9:
+            return False
+        return self.costly == 0 or self.time > self.base_time
+
+    def checks(self) -> dict[str, bool]:
+        """The verdict of every check the pass applied, by name."""
+        verdicts = {"clean": self.report.clean}
+        if self.check is not None:
+            verdicts["bound"] = self.check.ok
+        if self.pending_unflushed is not None:
+            verdicts["flushed"] = self.pending_unflushed == 0
+        if self.converged is not None:
+            verdicts["converged"] = self.converged
+        if self.reconciled is not None:
+            verdicts["reconciled"] = self.reconciled
+        if self.base_time is not None:
+            verdicts["accounted"] = self.overhead_accounted
+        return verdicts
 
     @property
     def ok(self) -> bool:
-        return self.report.clean and self.check.ok
+        return all(self.checks().values())
 
     def __str__(self) -> str:
-        status = "clean" if self.report.clean else \
-            f"{len(self.report.races)} RACE(S)"
-        return (f"{self.algorithm:7s} {self.direction:5s}  {status:12s} "
-                f"epochs={self.report.epochs:4d}  "
-                f"Wconf={self.report.write_conflicts + self.report.atomic_conflicts:7d}  "
-                f"Rconf={self.report.read_conflicts:7d}  "
-                f"bound={'ok' if self.check.ok else 'FAIL'}")
-
-
-def _dispatch(algorithm: str, g: CSRGraph, rt: SMRuntime, direction: str):
-    """Run one algorithm; returns its AlgoResult."""
-    if algorithm == "PR":
-        return pagerank(g, rt, direction=direction, iterations=5)
-    if algorithm == "TC":
-        return triangle_count(g, rt, direction=direction)
-    if algorithm == "BFS":
-        return bfs(g, rt, root=0, direction=direction)
-    if algorithm == "SSSP-Δ":
-        return sssp_delta(g, rt, source=0, direction=direction)
-    if algorithm == "BC":
-        return betweenness_centrality(g, rt, direction=direction,
-                                      sources=4, seed=0)
-    if algorithm == "BGC":
-        return boman_coloring(g, rt, direction=direction)
-    if algorithm == "MST":
-        return boruvka_mst(g, rt, direction=direction)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
-def run_one(algorithm: str, g: CSRGraph, direction: str, P: int = 4,
-            machine: MachineSpec = XC30,
-            track_read_conflicts: bool = True):
-    """Run one (algorithm, direction) under a fresh detector.
-
-    Returns ``(report, result)``.
-    """
-    m = machine.scaled(64)
-    rt = SMRuntime(g, P=P, machine=m, memory=CountingMemory(m.hierarchy))
-    detector = attach_race_detector(
-        rt, track_read_conflicts=track_read_conflicts)
-    result = _dispatch(algorithm, g, rt, direction)
-    return detector.report(), result
-
-
-def _crosscheck_params(algorithm: str, result) -> dict:
-    it = max(1, int(getattr(result, "iterations", 1) or 1))
-    params = {"iterations": it}
-    if algorithm == "SSSP-Δ":
-        params["iterations"] = max(1, int(getattr(result, "epochs", it)))
-        params["inner_iterations"] = max(
-            1, int(getattr(result, "inner_iterations", it)))
-    if algorithm == "BC":
-        params["sources"] = max(1, int(getattr(result, "n_sources", it)))
-    return params
+        c, r = self.cell, self.report
+        line = f"{c.runtime:3s} {c.algorithm:7s} {c.variant:9s} "
+        if c.plan is not None:
+            line += f"{c.plan_name:12s} seed={c.plan.seed:<3d} "
+        status = "clean" if r.clean else f"{len(r.races)} RACE(S)"
+        line += f"{status:12s} epochs={r.epochs:4d}"
+        if self.check is not None:
+            k = self.check
+            line += (f"  Wconf={k.observed_write:7d}  Rconf={k.observed_read:7d}"
+                     if c.runtime == "sm" else
+                     f"  rma={k.observed_remote:6d}  msg={k.observed_messages:6d}")
+            line += f"  bound={'ok' if k.ok else 'FAIL'}"
+        if self.pending_unflushed:
+            line += f"  UNFLUSHED={self.pending_unflushed}"
+        if self.base_time is not None:
+            pct = 100.0 * self.overhead / self.base_time if self.base_time else 0.0
+            line += f"  fired={self.fired:4d}  overhead={pct:7.1f}%"
+        failed = [name for name, ok in self.checks().items() if not ok]
+        return line + (f"  FAIL: {', '.join(failed)}" if failed else "")
 
 
 def instance_graph(dataset: str, n: int, d_bar: float, seed: int,
@@ -119,7 +202,6 @@ def instance_graph(dataset: str, n: int, d_bar: float, seed: int,
     communication-heavy extreme, where cross-partition edges dominate
     and push variants hammer remote accumulators.
     """
-    import math
     if dataset == "er":
         return erdos_renyi(n, d_bar=d_bar, seed=seed, weighted=weighted)
     if dataset == "rmat":
@@ -136,46 +218,344 @@ def instance_graph(dataset: str, n: int, d_bar: float, seed: int,
         "or 'comm'")
 
 
+def cross_edges(g: CSRGraph, part: Partition1D) -> int:
+    """Directed edges whose endpoints live on different processes."""
+    srcs = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.offsets))
+    return int((part.owner(srcs) != part.owner(g.adj)).sum())
+
+
+def _dispatch(cell: Cell, g: CSRGraph, rt, iterations: int):
+    """Run the cell's kernel on ``rt``; returns its result."""
+    module, name, kwargs = _KERNELS[cell.runtime, cell.algorithm]
+    kernel = getattr(importlib.import_module(f"repro.algorithms.{module}"),
+                     name)
+    axis = "direction" if cell.runtime == "sm" else "variant"
+    if cell.algorithm == "PR":
+        kwargs = dict(kwargs, iterations=iterations)
+    return kernel(g, rt, **kwargs, **{axis: cell.variant})
+
+
+def _bound(cell: Cell, g: CSRGraph, rt, result, report: RaceReport, P: int,
+           slack: float) -> CrossCheckResult | DMCommCheckResult:
+    """The Section-4 conflict bound (SM) or cut bound (DM) of one run."""
+    from repro.analysis.crosscheck import crosscheck, dm_crosscheck
+    a = cell.algorithm
+    if cell.runtime == "dm":
+        if a == "TC":
+            # one get per witness pair: a cut edge carries up to d_hat
+            # neighbor fetches plus one accumulate each
+            rounds = 1 + int(g.max_degree)
+        else:
+            rounds = max(1, int(getattr(result, _DM_ROUNDS[a])))
+        return dm_crosscheck(a, cell.variant, result.counters,
+                             m_cross=cross_edges(g, rt.part), P=P,
+                             supersteps=max(1, report.epochs), rounds=rounds,
+                             slack=slack)
+    it = max(1, int(getattr(result, "iterations", 1) or 1))
+    params = {"iterations": it}
+    if a == "SSSP-Δ":
+        params["iterations"] = max(1, int(getattr(result, "epochs", it)))
+        params["inner_iterations"] = max(
+            1, int(getattr(result, "inner_iterations", it)))
+    if a == "BC":
+        params["sources"] = max(1, int(getattr(result, "n_sources", it)))
+    return crosscheck(a, cell.variant, report, n=g.n, m=g.m,
+                      d_hat=g.max_degree, P=P, slack=slack, **params)
+
+
+def _reference(algorithm: str, g: CSRGraph) -> np.ndarray:
+    from repro.algorithms import reference
+    if algorithm == "PR":
+        return reference.pagerank_reference(
+            g, iterations=_PR_ITERATIONS["faults"])
+    if algorithm == "TC":
+        return reference.triangle_per_vertex_reference(g)
+    if algorithm == "BFS":
+        return reference.bfs_reference(g, 0)
+    return reference.sssp_reference(g, 0)
+
+
+def _converged(algorithm: str, result, ref: np.ndarray) -> bool:
+    if algorithm == "PR":
+        return bool(np.allclose(result.ranks, ref, atol=_FLOAT_ATOL))
+    if algorithm == "TC":
+        return bool(np.array_equal(result.per_vertex, ref))
+    if algorithm == "BFS":
+        return bool(np.array_equal(result.level, ref))
+    return bool(np.allclose(result.dist, ref))
+
+
+def run_cell(cell: Cell, g: CSRGraph, P: int, iterations: int, *,
+             slack: float | None = None, traced: bool = False,
+             ref: np.ndarray | None = None) -> CellRun:
+    """Run one cell under a fresh checker and apply the pass's checks.
+
+    The runtime is ``XC30`` (SM) or ``XC40`` (DM) at ``scaled(64)``;
+    PageRank runs ``iterations`` iterations.  ``slack`` applies the
+    bound check, ``traced`` attaches a tracer and checks its counter
+    reconciliation, and ``ref`` checks the result against a sequential
+    reference.  A cell with a fault plan runs under the injector with
+    recovery enabled.
+    """
+    if cell.runtime == "sm":
+        from repro.analysis.race import attach_race_detector
+        from repro.machine.cost_model import XC30
+        from repro.machine.memory import CountingMemory
+        from repro.runtime.sm import SMRuntime
+        m = XC30.scaled(64)
+        rt = SMRuntime(g, P=P, machine=m, memory=CountingMemory(m.hierarchy))
+        # read-conflict tallies feed only the bound check
+        detector = attach_race_detector(
+            rt, track_read_conflicts=slack is not None)
+    else:
+        from repro.analysis.dm_race import attach_dm_race_detector
+        from repro.machine.cost_model import XC40
+        from repro.runtime.dm import DMRuntime
+        rt = DMRuntime(g.n, P, machine=XC40.scaled(64))
+        detector = attach_dm_race_detector(rt)
+    tracer = injector = None
+    if traced:
+        from repro.observability.tracer import attach_tracer
+        tracer = attach_tracer(rt)
+    if cell.plan is not None:
+        # last: the perturbing proxy must wrap the detecting one, so
+        # re-issued recovery ops are checked too
+        from repro.runtime.faults import attach_fault_injector
+        from repro.runtime.sm_faults import attach_sm_fault_injector
+        injector = (attach_sm_fault_injector if cell.runtime == "sm"
+                    else attach_fault_injector)(rt, cell.plan)
+    result = _dispatch(cell, g, rt, iterations)
+    report = detector.report()
+    applied = {}
+    if cell.runtime == "dm":
+        applied.update(pending_unflushed=detector.pending_unflushed,
+                       unattributed_ops=detector.unattributed_ops)
+    if slack is not None:
+        applied["check"] = _bound(cell, g, rt, result, report, P, slack)
+    if tracer is not None:
+        traced_totals, actual = tracer.reconcile()
+        applied["reconciled"] = traced_totals.to_dict() == actual.to_dict()
+    if ref is not None:
+        applied["converged"] = _converged(cell.algorithm, result, ref)
+    if injector is not None:
+        applied.update(fired=injector.stats.fired(),
+                       costly=injector.stats.costly())
+    return CellRun(cell=cell, report=report, time=rt.time, **applied)
+
+
+def _instances(dataset: str, n: int, seed: int) -> dict[bool, CSRGraph]:
+    """A pass's instance pair, keyed by ``weighted``."""
+    return {w: instance_graph(dataset, n, _D_BAR, seed, weighted=w)
+            for w in (False, True)}
+
+
+def _collect(runs: Iterable[CellRun],
+             progress: Callable[[str], None] | None) -> list[CellRun]:
+    """Run a pass's cells, reporting each as it finishes."""
+    out = []
+    for run in runs:
+        if progress is not None:
+            progress(str(run))
+        out.append(run)
+    return out
+
+
 def analyze_algorithms(n: int = 120, P: int = 4, seed: int = 7,
-                       d_bar: float = 4.0, slack: float = 4.0,
+                       slack: float = 4.0,
                        algorithms: Iterable[str] | None = None,
-                       directions: Iterable[str] = ("push", "pull"),
-                       machine: MachineSpec = XC30,
                        dataset: str = "er",
                        progress: Callable[[str], None] | None = None
-                       ) -> list[AnalysisRun]:
-    """Run the full matrix; returns one :class:`AnalysisRun` per cell.
+                       ) -> list[CellRun]:
+    """The race pass: one :class:`CellRun` per (algorithm, direction).
 
-    ``dataset`` selects the instance family: ``"er"`` (Erdős–Rényi, the
-    default), ``"rmat"`` (the registry Kronecker/R-MAT generator at
-    ``scale = ceil(log2 n)`` -- skewed degrees at a small scale),
-    ``"road"`` (sparsified lattice -- the high-diameter regime), or
-    ``"comm"`` (Chung-Lu community graph -- the communication-heavy
-    regime of cross-partition hub edges).
+    ``dataset`` selects the instance family (:func:`instance_graph`):
+    ``"er"`` (the default), ``"rmat"`` (skewed degrees at a small
+    scale), ``"road"`` (the high-diameter regime), or ``"comm"`` (the
+    communication-heavy regime of cross-partition hub edges).
     """
     algos = tuple(algorithms) if algorithms else ALGORITHMS
     unknown = set(algos) - set(ALGORITHMS)
     if unknown:
         raise ValueError(f"unknown algorithm(s) {sorted(unknown)}; "
                          f"choose from {ALGORITHMS}")
-    plain = instance_graph(dataset, n, d_bar, seed, weighted=False)
-    weighted = instance_graph(dataset, n, d_bar, seed, weighted=True)
+    graphs = _instances(dataset, n, seed)
+    return _collect(
+        (run_cell(Cell("sm", a, d), graphs[a in WEIGHTED], P,
+                  _PR_ITERATIONS["race"], slack=slack)
+         for a in algos for d in ("push", "pull")), progress)
 
-    runs: list[AnalysisRun] = []
-    for algorithm in algos:
-        g = weighted if algorithm in WEIGHTED else plain
-        for direction in directions:
-            report, result = run_one(algorithm, g, direction, P=P,
-                                     machine=machine)
-            check = crosscheck(
-                algorithm, direction, report,
-                n=g.n, m=g.m, d_hat=g.max_degree, P=P, slack=slack,
-                **_crosscheck_params(algorithm, result))
-            run = AnalysisRun(
-                algorithm=algorithm, direction=direction, report=report,
-                check=check,
-                iterations=int(getattr(result, "iterations", 1) or 1))
-            runs.append(run)
-            if progress is not None:
-                progress(str(run))
-    return runs
+
+def analyze_dm(n: int = 96, P: int = 4, seed: int = 7, slack: float = 4.0,
+               dataset: str = "er",
+               progress: Callable[[str], None] | None = None
+               ) -> list[CellRun]:
+    """The DM pass: one :class:`CellRun` per :data:`DM_MATRIX` cell.
+
+    ``dataset`` follows :func:`instance_graph`; ``"road"`` runs many
+    thin supersteps, so the epoch and cut bounds are exercised across
+    far more barriers per run, and ``"comm"`` pushes most edges across
+    the partition cut, stressing the message/RMA epoch checks.
+    """
+    graphs = _instances(dataset, n, seed)
+    return _collect(
+        (run_cell(Cell("dm", a, v), graphs[a in WEIGHTED], P,
+                  _PR_ITERATIONS["dm"], slack=slack)
+         for a, variants in DM_MATRIX for v in variants), progress)
+
+
+def default_fault_plans(seed: int) -> list[tuple[str, FaultPlan]]:
+    """The DM plan grid: one plan per fault class, plus everything."""
+    from repro.runtime.faults import FaultPlan
+    return [
+        ("drop", FaultPlan(seed=seed, drop=0.15)),
+        ("duplicate", FaultPlan(seed=seed, duplicate=0.15,
+                                rma_duplicate=0.15)),
+        ("delay", FaultPlan(seed=seed, delay=0.15, reorder=0.10)),
+        ("rma-lost", FaultPlan(seed=seed, rma_lost=0.20)),
+        ("straggler", FaultPlan(seed=seed, straggler=0.10,
+                                straggler_factor=4.0)),
+        ("crash", FaultPlan(seed=seed, crash=0.04)),
+        ("chaos", FaultPlan(seed=seed, drop=0.10, duplicate=0.08,
+                            delay=0.08, reorder=0.05, rma_lost=0.10,
+                            rma_duplicate=0.08, straggler=0.05,
+                            crash=0.02)),
+    ]
+
+
+def default_sm_fault_plans(seed: int) -> list[tuple[str, SMFaultPlan]]:
+    """The SM plan grid: one plan per fault class, plus everything."""
+    from repro.runtime.sm_faults import SMFaultPlan
+    return [
+        ("straggler", SMFaultPlan(seed=seed, straggler=0.15,
+                                  straggler_factor=4.0)),
+        ("preempt", SMFaultPlan(seed=seed, lock_preempt=0.20)),
+        ("cas-lost", SMFaultPlan(seed=seed, cas_lost=0.15)),
+        ("cas-dup", SMFaultPlan(seed=seed, cas_duplicate=0.15)),
+        ("store-delay", SMFaultPlan(seed=seed, store_delay=0.10)),
+        ("crash", SMFaultPlan(seed=seed, crash=0.06)),
+        ("chaos", SMFaultPlan(seed=seed, straggler=0.05, lock_preempt=0.10,
+                              cas_lost=0.08, cas_duplicate=0.08,
+                              store_delay=0.05, crash=0.02)),
+    ]
+
+
+#: runtime -> (cell matrix, default plan grid)
+_CHAOS = {"dm": (DM_MATRIX, default_fault_plans),
+          "sm": (SM_MATRIX, default_sm_fault_plans)}
+
+
+def analyze_faults(n: int = 64, P: int = 4, seed: int = 7,
+                   dataset: str = "er", fault_seeds: Iterable[int] = (0, 1),
+                   runtimes: Iterable[str] = ("dm", "sm"),
+                   plans: Iterable[tuple[str, FaultPlan | SMFaultPlan]]
+                   | None = None,
+                   progress: Callable[[str], None] | None = None
+                   ) -> list[CellRun]:
+    """The chaos pass: one :class:`CellRun` per cell x plan x seed.
+
+    ``runtimes`` picks the matrices, in order: :data:`DM_MATRIX` and
+    :data:`SM_MATRIX`.  ``fault_seeds`` re-seed the *plans* (the
+    instance stays fixed), so every plan's fault schedule is sampled
+    more than once.  ``plans`` replaces each runtime's default grid
+    (:func:`default_fault_plans` / :func:`default_sm_fault_plans`), so
+    its plans must suit every runtime named.  ``dataset`` follows
+    :func:`instance_graph`; ``"comm"`` puts most traffic on the cut, so
+    dropped/duplicated messages hit the widest exchanges.  Every cell
+    first runs fault-free; a baseline that fails any check raises
+    :class:`AssertionError`.
+    """
+    graphs = _instances(dataset, n, seed)
+    return _collect(_chaos(graphs, P, runtimes, tuple(fault_seeds), plans),
+                    progress)
+
+
+def _chaos(graphs: dict[bool, CSRGraph], P: int, runtimes: Iterable[str],
+           fault_seeds: tuple[int, ...], plans) -> Iterator[CellRun]:
+    iterations = _PR_ITERATIONS["faults"]
+    refs: dict[str, np.ndarray] = {}
+    for runtime in runtimes:
+        matrix, default_grid = _CHAOS[runtime]
+        traced = runtime == "sm"
+        for algorithm, variants in matrix:
+            g = graphs[algorithm in WEIGHTED]
+            if algorithm not in refs:
+                refs[algorithm] = _reference(algorithm, g)
+            for variant in variants:
+                base = run_cell(Cell(runtime, algorithm, variant), g, P,
+                                iterations, traced=traced,
+                                ref=refs[algorithm])
+                if not base.ok:
+                    raise AssertionError(f"fault-free baseline broken: "
+                                         f"{runtime} {algorithm}/{variant}")
+                for fseed in fault_seeds:
+                    for name, proto in (plans if plans is not None
+                                        else default_grid(fseed)):
+                        plan = (proto if proto.seed == fseed
+                                else replace(proto, seed=fseed))
+                        run = run_cell(
+                            Cell(runtime, algorithm, variant, name, plan),
+                            g, P, iterations, traced=traced,
+                            ref=refs[algorithm])
+                        yield replace(run, base_time=base.time)
+
+
+def overhead_table(runs: list[CellRun]) -> list[dict]:
+    """Mean relative overhead per (runtime, algorithm, backend, plan) --
+    the Table-style fault-overhead curves of the chaos suite."""
+    rows: dict[tuple, list[float]] = {}
+    for r in runs:
+        if r.base_time:
+            c = r.cell
+            rows.setdefault((c.runtime, c.algorithm, c.variant, c.plan_name),
+                            []).append(r.overhead / r.base_time)
+    return [
+        {"runtime": rtm, "algorithm": a, "variant": v, "plan": p,
+         "overhead_pct": round(100.0 * sum(vals) / len(vals), 1)}
+        for (rtm, a, v, p), vals in rows.items()
+    ]
+
+
+def _overhead_blocks(runs: list[CellRun]) -> Iterator[tuple]:
+    """Per runtime, in run order: ``(runtime, plan columns, [(algorithm,
+    variant, mean overhead % per plan)])`` -- derived from the runs so
+    the DM and SM grids (different plan vocabularies) each get their
+    own correctly-labeled block."""
+    pct = {(row["runtime"], row["algorithm"], row["variant"], row["plan"]):
+           row["overhead_pct"] for row in overhead_table(runs)}
+    blocks: dict[str, tuple[list, list]] = {}
+    for r in runs:
+        c = r.cell
+        rows, plans = blocks.setdefault(c.runtime, ([], []))
+        if (c.algorithm, c.variant) not in rows:
+            rows.append((c.algorithm, c.variant))
+        if c.plan_name not in plans:
+            plans.append(c.plan_name)
+    for rtm, (rows, plans) in blocks.items():
+        yield rtm, plans, [(a, v, [pct.get((rtm, a, v, p), 0.0) for p in plans])
+                           for a, v in rows]
+
+
+def format_overhead_table(runs: list[CellRun]) -> str:
+    lines = []
+    for rtm, plans, rows in _overhead_blocks(runs):
+        lines.append(f"{rtm} fault overhead (mean % of fault-free time):")
+        lines.append(f"{'kernel':9s}{'backend':11s}"
+                     + "".join(f"{name:>12s}" for name in plans))
+        lines += [f"{a:9s}{v:11s}" + "".join(f"{x:>11.1f}%" for x in vals)
+                  for a, v, vals in rows]
+    return "\n".join(lines)
+
+
+def markdown_overhead_table(runs: list[CellRun]) -> str:
+    """The same overhead curves as GitHub-flavored markdown (the CI
+    step-summary rendering of the combined SM+DM chaos grid)."""
+    lines = []
+    for rtm, plans, rows in _overhead_blocks(runs):
+        lines += [f"### {rtm.upper()} fault overhead "
+                  "(mean % of fault-free time)", "",
+                  "| kernel | backend | " + " | ".join(plans) + " |",
+                  "|---|---|" + "---|" * len(plans)]
+        lines += [f"| {a} | {v} | " + " | ".join(f"{x:.1f}%" for x in vals)
+                  + " |" for a, v, vals in rows]
+        lines.append("")
+    return "\n".join(lines).rstrip() + "\n"

@@ -114,12 +114,18 @@ _CELL_KERNELS = {
     ("sssp", True): "dm_sssp_delta",
 }
 
+#: the reconciliation matrix: (algorithm, variant, dm) per traced run
+RECONCILE_CELLS = tuple((algorithm, variant, dm)
+                        for algorithm, dm in _CELL_KERNELS
+                        for variant in ("push", "pull"))
+
 
 def reconcile_effects(report=None, n: int = 96, P: int = 4,
                       iterations: int = 3, progress=None,
                       engine: str = "interpreted") -> list[ReconcileCell]:
-    """Run the 14-cell trace matrix with a footprint recorder and check
-    each kernel's static write set covers what was dynamically written.
+    """Run the :data:`RECONCILE_CELLS` trace matrix with a footprint
+    recorder and check each kernel's static write set covers what was
+    dynamically written.
 
     Runs with ``cache_scale=0``: the recorder's verb wrappers are plain
     instance attributes, and flat counting memory keeps the run cheap.
@@ -136,23 +142,23 @@ def reconcile_effects(report=None, n: int = 96, P: int = 4,
     if report is None:
         report = analyze_effects()
     cells: list[ReconcileCell] = []
-    for (algorithm, dm), kernel in _CELL_KERNELS.items():
-        for variant in ("push", "pull"):
-            if progress is not None:
-                progress(algorithm, variant, dm)
-            rec = FootprintRecorder()
-            run_traced(algorithm, variant=variant, dm=dm, n=n, P=P,
-                       iterations=iterations, cache_scale=0,
-                       attach=rec.install, engine=engine)
-            keff = report.kernels[kernel]
-            claimed = set(keff.write_set) | set(keff.windows)
-            traced = rec.written | rec.windows
-            missing = sorted(
-                name for name in traced
-                if not any(fnmatch.fnmatchcase(name, pat)
-                           for pat in claimed))
-            cells.append(ReconcileCell(
-                algorithm=algorithm, variant=variant, dm=dm, kernel=kernel,
-                traced=sorted(traced), static=sorted(claimed),
-                missing=missing))
+    for algorithm, variant, dm in RECONCILE_CELLS:
+        if progress is not None:
+            progress(algorithm, variant, dm)
+        rec = FootprintRecorder()
+        run_traced(algorithm, variant=variant, dm=dm, n=n, P=P,
+                   iterations=iterations, cache_scale=0,
+                   attach=rec.install, engine=engine)
+        kernel = _CELL_KERNELS[algorithm, dm]
+        keff = report.kernels[kernel]
+        claimed = set(keff.write_set) | set(keff.windows)
+        traced = rec.written | rec.windows
+        missing = sorted(
+            name for name in traced
+            if not any(fnmatch.fnmatchcase(name, pat)
+                       for pat in claimed))
+        cells.append(ReconcileCell(
+            algorithm=algorithm, variant=variant, dm=dm, kernel=kernel,
+            traced=sorted(traced), static=sorted(claimed),
+            missing=missing))
     return cells

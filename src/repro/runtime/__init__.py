@@ -14,15 +14,12 @@
 """
 
 from repro.runtime.sm import SMRuntime, OwnershipViolation
-from repro.runtime.profiler import ProfiledRuntime, Profile
 from repro.runtime.frontier import ThreadLocalFrontiers
 from repro.runtime.scheduler import static_chunks, dynamic_chunks, assign
 
 __all__ = [
     "SMRuntime",
     "OwnershipViolation",
-    "ProfiledRuntime",
-    "Profile",
     "ThreadLocalFrontiers",
     "static_chunks",
     "dynamic_chunks",

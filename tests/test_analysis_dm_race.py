@@ -13,7 +13,7 @@ from repro.algorithms.dm_pagerank import dm_pagerank
 from repro.algorithms.dm_triangle import dm_triangle_count
 from repro.analysis.crosscheck import dm_crosscheck
 from repro.analysis.dm_race import attach_dm_race_detector
-from repro.analysis.dm_runner import DM_MATRIX, analyze_dm, cross_edges
+from repro.analysis.runner import DM_MATRIX, analyze_dm, cross_edges
 from repro.analysis.race import RaceError
 from repro.generators import erdos_renyi
 from repro.machine.cost_model import XC40
@@ -331,7 +331,7 @@ class TestKernelMatrix:
         return analyze_dm(n=96, P=4, seed=7)
 
     def test_matrix_covers_all_kernels(self, runs):
-        assert {r.algorithm for r in runs} == {a for a, _ in DM_MATRIX}
+        assert {r.cell.algorithm for r in runs} == {a for a, _ in DM_MATRIX}
         assert len(runs) == sum(len(vs) for _, vs in DM_MATRIX)
 
     def test_all_cells_race_clean(self, runs):
@@ -347,7 +347,7 @@ class TestKernelMatrix:
 
     def test_rma_kernels_annotate_their_ops(self, runs):
         """Every put/accumulate in the shipped kernels names its window."""
-        rma = [r for r in runs if r.variant.startswith("rma")]
+        rma = [r for r in runs if r.cell.variant.startswith("rma")]
         assert rma
         assert all(r.unattributed_ops == 0 for r in rma)
 

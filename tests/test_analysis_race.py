@@ -8,10 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    ALGORITHMS, RaceError, analyze_algorithms, attach_race_detector, crosscheck,
-)
-from repro.analysis.race import RaceReport
+from repro.analysis.crosscheck import crosscheck
+from repro.analysis.race import RaceError, RaceReport, attach_race_detector
+from repro.analysis.runner import ALGORITHMS, analyze_algorithms
 from tests.conftest import make_runtime
 
 FIXTURE = Path(__file__).parent / "fixtures" / "bad_push_kernel.py"
@@ -294,19 +293,20 @@ class TestAlgorithmMatrix:
         return analyze_algorithms(n=96, P=4, seed=7)
 
     def test_covers_full_matrix(self, matrix):
-        assert {(r.algorithm, r.direction) for r in matrix} == {
+        assert {(r.cell.algorithm, r.cell.variant) for r in matrix} == {
             (a, d) for a in ALGORITHMS for d in ("push", "pull")}
 
     def test_zero_races_everywhere(self, matrix):
         dirty = [r for r in matrix if not r.report.clean]
         assert not dirty, "\n".join(
-            f"{r.algorithm}/{r.direction}: {r.report.summary()}" for r in dirty)
+            f"{r.cell.algorithm}/{r.cell.variant}: {r.report.summary()}"
+            for r in dirty)
 
     def test_pull_has_zero_plain_write_conflicts(self, matrix):
         for r in matrix:
-            if r.direction == "pull":
+            if r.cell.variant == "pull":
                 assert r.report.write_conflicts == 0, (
-                    f"{r.algorithm}/pull shows write conflicts")
+                    f"{r.cell.algorithm}/pull shows write conflicts")
 
     def test_observed_conflicts_within_pram_bounds(self, matrix):
         failing = [r for r in matrix if not r.check.ok]

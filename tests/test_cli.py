@@ -97,3 +97,32 @@ class TestAnalyzeFaults:
         assert rc == 0
         out = capsys.readouterr().out
         assert "comm n=64" in out and "dm: 0 failing" in out
+
+
+class TestAnalyzeExitCodes:
+    @pytest.mark.parametrize("argv,message", [
+        (["--dm", "-P", "0"], "P must be positive"),
+        (["--dm", "--scale", "1"], "need at least two vertices"),
+        (["--faults", "--sm", "-P", "0", "--scale", "36"],
+         "P must be positive"),
+        (["--faults", "--fault-seeds", "0"],
+         "--fault-seeds must be at least 1, got 0"),
+    ])
+    def test_configuration_errors_exit_2(self, capsys, argv, message):
+        assert main(["analyze", *argv]) == 2
+        assert capsys.readouterr().err.strip().splitlines() == [message]
+
+    def test_failing_run_exits_1_and_says_not_ok(self, capsys, monkeypatch):
+        import json
+
+        from repro.analysis import runner
+        from repro.analysis.race import RaceReport
+        bad = runner.CellRun(cell=runner.Cell("dm", "PR", "mp"),
+                             report=RaceReport(), time=1.0,
+                             pending_unflushed=1)
+        monkeypatch.setattr(runner, "analyze_dm", lambda **kw: [bad])
+        assert main(["analyze", "--dm", "--format", "json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is False and doc["passes"]["dm"]["ok"] is False
+        assert doc["passes"]["dm"]["cells"] == [
+            {"algorithm": "PR", "direction": "mp", "ok": False, "races": []}]

@@ -4,7 +4,7 @@ Covers the ISSUE-4 acceptance surface: bit-identical JSONL exports
 (including under fault plans), exact PerfCounters reconciliation
 between region/superstep deltas and run totals, Chrome trace-event
 structural validity (matched B/E pairs, monotonic per-lane
-timestamps), the metrics rollup, the Profile fold, and the
+timestamps), the metrics rollup, region labelling, and the
 import-lightness of the runtime/observability modules -- plus the
 ISSUE-5 surface: cache-counter attribution (span deltas carry
 L1/L2/L3/TLB miss columns that reconcile exactly and expose the
@@ -90,6 +90,14 @@ class TestReconciliation:
     def test_totals_are_nonzero(self):
         traced, actual = _trace("pagerank", variant="push").reconcile()
         assert any(v for v in actual.to_dict().values())
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: DMRuntime.alltoallv counts collectives between "
+        "supersteps, so no trace event carries them and rt.time never "
+        "charges them"))
+    def test_dm_mp_pagerank_reconciles(self):
+        traced, actual = _trace("pagerank", variant="mp", dm=True).reconcile()
+        assert traced.to_dict() == actual.to_dict()
 
 
 class TestChromeTrace:
@@ -272,7 +280,7 @@ class TestEdgeCut:
     """rollup["cut"] agrees with the analysis layer's cut accounting."""
 
     def test_cut_matches_cross_edges(self):
-        from repro.analysis.dm_runner import cross_edges
+        from repro.analysis.runner import cross_edges
         tracer = _trace("pagerank", variant="push", dm=True)
         rt = tracer.rt
         roll = metrics_rollup(tracer)
@@ -513,38 +521,62 @@ class TestExporterEdgeCases:
 
 
 class TestProfileFold:
-    def test_profiled_runtime_uses_tracer(self, tiny_graph):
-        from repro.algorithms.pagerank import pagerank
-        from repro.runtime.profiler import ProfiledRuntime
-        rt = ProfiledRuntime(tiny_graph, P=4)
-        pagerank(tiny_graph, rt, direction="pull", iterations=2)
-        prof = rt.profile
-        assert prof.records and rt.tracer is not None
-        # profile totals cover region spans; barrier time is the rest
-        barriers = sum(ev.dur for ev in rt.tracer.events
-                       if ev.kind == "barrier")
-        assert abs(prof.total + barriers - rt.time) < 1e-9
+    """The region facts a per-region profile folds from the trace --
+    labels, per-lane spans, transparency -- on a plain SMRuntime, plus
+    the import-lightness of the layers ``repro trace`` loads."""
 
-    def test_profile_from_trace_matches_region_events(self, tiny_graph):
-        from repro.algorithms.pagerank import pagerank
-        from repro.runtime.profiler import Profile
-        from repro.runtime.sm import SMRuntime
+    def _traced_runtime(self, g, P=2):
         from repro.observability import attach_tracer
-        rt = SMRuntime(tiny_graph, P=4)
-        tracer = attach_tracer(rt)
-        pagerank(tiny_graph, rt, direction="push", iterations=2)
-        prof = Profile.from_trace(tracer.events)
-        regions = [ev for ev in tracer.events if ev.kind == "region"]
-        assert len(prof.records) == len(regions)
-        assert [r.span for r in prof.records] == [ev.dur for ev in regions]
+        from repro.runtime.sm import SMRuntime
+        rt = SMRuntime(g, P=P)
+        return rt, attach_tracer(rt)
 
-    def test_runtime_modules_stay_import_light(self):
-        # Profile.render lazy-imports the chart helpers; importing the
-        # profiler (or the observability package) must not drag in the
-        # harness
-        code = ("import sys; import repro.runtime.profiler, "
-                "repro.observability; "
-                "assert 'repro.harness.charts' not in sys.modules, "
-                "'chart code leaked into the runtime import graph'")
+    def test_unlabelled_region_is_numbered(self, tiny_graph):
+        rt, tracer = self._traced_runtime(tiny_graph)
+        rt.for_each_thread(lambda t, vs: None)
+        regions = [ev for ev in tracer.events if ev.kind == "region"]
+        assert regions[0].label == "region-0"
+
+    def test_sequential_region_label_and_idle_lanes(self, tiny_graph):
+        import numpy as np
+        rt, tracer = self._traced_runtime(tiny_graph)
+        h = rt.mem.register("x", np.zeros(16))
+        rt.annotate("greedy")
+        rt.sequential(lambda: rt.mem.read(h, count=8))
+        ev = [ev for ev in tracer.events if ev.kind == "region"][-1]
+        assert ev.label == "greedy [seq]"
+        assert ev.data["spans"][0] > 0.0 and ev.data["spans"][1] == 0.0
+
+    def test_tracer_leaves_ranks_and_time_unchanged(self, comm_graph):
+        import numpy as np
+        from repro.algorithms.pagerank import pagerank
+        from repro.runtime.sm import SMRuntime
+        rt, _tracer = self._traced_runtime(comm_graph, P=4)
+        traced = pagerank(comm_graph, rt, direction="push", iterations=3)
+        plain_rt = SMRuntime(comm_graph, P=4)
+        plain = pagerank(comm_graph, plain_rt, direction="push",
+                         iterations=3)
+        assert np.array_equal(traced.ranks, plain.ranks)
+        assert rt.time == plain_rt.time
+
+    def _run(self, code):
         env = dict(os.environ, PYTHONPATH=SRC)
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+    def test_runtime_modules_stay_import_light(self):
+        # importing the observability package must not drag in the
+        # harness chart code
+        self._run("import sys; import repro.observability; "
+                  "assert 'repro.harness.charts' not in sys.modules, "
+                  "'chart code leaked into the runtime import graph'")
+
+    def test_run_traced_loads_only_the_cell_runner(self):
+        # run_traced reaches instance_graph through the runner; the
+        # checkers, lint and effect inference must stay unloaded
+        self._run("import sys; "
+                  "from repro.observability.driver import run_traced; "
+                  "run_traced('pagerank', n=96); "
+                  "mods = sorted(m for m in sys.modules "
+                  "if m.startswith('repro.analysis')); "
+                  "assert mods == ['repro.analysis', "
+                  "'repro.analysis.runner'], mods")
