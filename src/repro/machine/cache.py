@@ -4,13 +4,18 @@ The paper explains most push/pull performance differences through
 cache behaviour (Section 6.1): pull variants issue *random* reads of
 neighbor state while push variants stream through contiguous adjacency
 arrays; Partition-Awareness trades atomics for a second pass over the
-data.  To reproduce Table 1 we simulate an inclusive three-level
-set-associative data-cache hierarchy plus a data TLB, fed with the
-actual addresses that the instrumented algorithms touch.
+data.  To reproduce Table 1 we simulate a three-level set-associative
+data-cache hierarchy plus a data TLB, fed with the actual addresses
+that the instrumented algorithms touch.
 
-The simulator is deliberately simple (LRU, inclusive, write-allocate,
-one array of tags per level) but exact with respect to the configured
-geometry.  It accepts *batches* of addresses as NumPy arrays so the
+The simulator is deliberately simple but exact with respect to the
+configured geometry: LRU, write-allocate, and a filter hierarchy.  Each
+level sees the misses of the level above, in order; nothing
+back-invalidates, so the levels are not inclusive.  The data TLB gets
+one lookup per simulated line, over 4 KiB pages by default
+(``TLBSpec.page_bytes``); there is no instruction TLB.
+
+The simulator accepts *batches* of addresses as NumPy arrays so the
 instrumentation layer can report one vectorized access per adjacency
 list instead of one Python call per element.
 """
@@ -40,7 +45,7 @@ class CacheLevelSpec:
 
 @dataclass(frozen=True)
 class TLBSpec:
-    """Geometry of a (fully-associative, LRU-approximated) TLB."""
+    """Geometry of a fully-associative LRU TLB."""
 
     entries: int = 64
     page_bytes: int = 4096
@@ -62,67 +67,75 @@ class CacheHierarchySpec:
 
 
 class _SetAssocLevel:
-    """One set-associative LRU cache level over line addresses."""
+    """One set-associative LRU cache level over line addresses.
 
-    __slots__ = ("n_sets", "ways", "tags", "stamp", "clock", "misses")
+    Each set is a dict used as an insertion-ordered list of its resident
+    lines, LRU first.  Every set starts full of placeholder keys that
+    equal no line, so a miss always evicts the first key: a placeholder
+    while the set is filling, then the LRU line.
+    """
+
+    __slots__ = ("n_sets", "ways", "sets", "misses")
 
     def __init__(self, spec: CacheLevelSpec) -> None:
-        self.n_sets = spec.n_sets
-        self.ways = spec.ways
-        # tags[set][way]; -1 means empty.  stamp holds the LRU clock.
-        self.tags = np.full((self.n_sets, self.ways), -1, dtype=np.int64)
-        self.stamp = np.zeros((self.n_sets, self.ways), dtype=np.int64)
-        self.clock = 0
+        self._make_sets(spec.n_sets, spec.ways)
+
+    def _make_sets(self, n_sets: int, ways: int) -> None:
+        self.n_sets = n_sets
+        self.ways = ways
+        self.sets = [{object(): None for _ in range(ways)}
+                     for _ in range(n_sets)]
         self.misses = 0
+
+    def filter(self, lines: list[int]) -> list[int]:
+        """Access ``lines`` in order; return the ones that missed, in order."""
+        sets, n_sets = self.sets, self.n_sets
+        missed = []
+        for line in lines:
+            s = sets[line % n_sets]
+            if line in s:
+                del s[line]
+            else:
+                missed.append(line)
+                del s[next(iter(s))]
+            s[line] = None
+        self.misses += len(missed)
+        return missed
 
     def access(self, line: int) -> bool:
         """Access one line address; return True on hit."""
-        s = line % self.n_sets
-        tags = self.tags[s]
-        self.clock += 1
-        for w in range(self.ways):
-            if tags[w] == line:
-                self.stamp[s, w] = self.clock
-                return True
-        # miss: evict LRU way
-        self.misses += 1
-        w = int(np.argmin(self.stamp[s]))
-        tags[w] = line
-        self.stamp[s, w] = self.clock
-        return False
+        return not self.filter([line])
 
 
-class _TLB:
-    """Fully-associative LRU TLB over page numbers, dict-based."""
+class _TLB(_SetAssocLevel):
+    """Fully-associative LRU TLB over page numbers: one set of
+    ``entries`` ways."""
 
-    __slots__ = ("entries", "_order", "misses")
+    __slots__ = ()
 
     def __init__(self, spec: TLBSpec) -> None:
-        self.entries = spec.entries
-        self._order: dict[int, None] = {}
-        self.misses = 0
+        self._make_sets(1, spec.entries)
 
-    def access(self, page: int) -> bool:
-        order = self._order
-        if page in order:
-            # move to MRU position
-            del order[page]
-            order[page] = None
-            return True
-        self.misses += 1
-        if len(order) >= self.entries:
-            # evict LRU (first inserted)
-            order.pop(next(iter(order)))
-        order[page] = None
-        return False
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the elements of non-empty ``a`` that differ from their
+    predecessor (the first element counts as differing)."""
+    keep = np.empty(a.shape, dtype=bool)
+    keep[0] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return keep
 
 
 class CacheSim:
-    """An inclusive L1/L2/L3 + D-TLB simulator fed with byte addresses.
+    """An L1/L2/L3 + data-TLB simulator fed with byte addresses.
 
     Addresses are grouped into cache lines before simulation, so a
     sequential scan over an array costs one simulated access per line,
-    matching how a hardware prefetch-friendly stream behaves.
+    matching how a hardware prefetch-friendly stream behaves.  Each
+    level sees the misses of the level above, in order, and nothing
+    back-invalidates, so the hierarchy is not inclusive: a line can stay
+    in L1 after L2 has evicted it.  The TLB gets one lookup per
+    simulated line, over pages of ``spec.tlb.page_bytes``.
     """
 
     def __init__(self, spec: CacheHierarchySpec | None = None) -> None:
@@ -134,40 +147,32 @@ class CacheSim:
         self.tlb = _TLB(self.spec.tlb)
         self.accesses = 0
 
-    # -- single access ------------------------------------------------------
-    def access_line(self, line: int, page: int) -> None:
-        self.accesses += 1
-        self.tlb.access(page)
-        if self.l1.access(line):
-            return
-        if self.l2.access(line):
-            return
-        self.l3.access(line)
-
-    # -- batched access ------------------------------------------------------
     def access(self, addrs: np.ndarray | int) -> None:
         """Simulate accesses for a batch of byte addresses (in order).
 
         Consecutive duplicate lines are collapsed (they would hit in L1
-        anyway and collapsing keeps the Python loop short for streaming
-        scans).
+        anyway and collapsing keeps the Python loops short for streaming
+        scans).  Consecutive duplicate pages of the kept lines are
+        collapsed too: a repeat of the MRU page hits and leaves the LRU
+        order as it was.
         """
+        page_bytes = self.spec.tlb.page_bytes
         if np.isscalar(addrs):
             a = int(addrs)
-            self.access_line(a // self.line_bytes, a // self.spec.tlb.page_bytes)
-            return
-        addrs = np.asarray(addrs, dtype=np.int64)
-        if addrs.size == 0:
-            return
-        lines = addrs // self.line_bytes
-        # collapse runs of identical lines (streaming accesses)
-        keep = np.empty(lines.shape, dtype=bool)
-        keep[0] = True
-        np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-        lines = lines[keep]
-        pages = (addrs[keep]) // self.spec.tlb.page_bytes
-        for line, page in zip(lines.tolist(), pages.tolist()):
-            self.access_line(line, page)
+            lines = [a // self.line_bytes]
+            pages = [a // page_bytes]
+        else:
+            addrs = np.asarray(addrs, dtype=np.int64)
+            if addrs.size == 0:
+                return
+            lines = addrs // self.line_bytes
+            keep = _run_starts(lines)
+            pages = addrs[keep] // page_bytes
+            pages = pages[_run_starts(pages)].tolist()
+            lines = lines[keep].tolist()
+        self.accesses += len(lines)
+        self.tlb.filter(pages)
+        self.l3.filter(self.l2.filter(self.l1.filter(lines)))
 
     # -- results --------------------------------------------------------------
     @property

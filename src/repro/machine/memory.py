@@ -400,8 +400,6 @@ class CacheSimMemory(MemoryModel):
             for sim in self._sims[1:]:
                 sim.l3 = l3
         self._thread = 0
-        self._before = [s.snapshot() for s in self._sims]
-        self._l3_before = 0
 
     def set_thread(self, tid: int) -> None:
         self._thread = tid
@@ -417,8 +415,26 @@ class CacheSimMemory(MemoryModel):
         counts as the per-call path (the boundary collapse can only
         drop an access that would have re-touched an already-MRU line).
         """
-        if len(addrs) == 0:
-            return
+        if len(addrs):
+            self._simulate(addrs)
+
+    def _touch(self, handle: ArrayHandle, idx, n: int, mode: str,
+               start: int | None = None) -> None:
+        if idx is None:
+            # A streaming range: (start, count) when the caller knows the
+            # position, else synthesized from the array base (the line/page
+            # counts of a sequential sweep do not depend on the position).
+            first = 0 if start is None else int(start)
+            self._simulate(handle.base + (first + np.arange(n, dtype=np.int64))
+                           * handle.itemsize)
+        elif np.isscalar(idx):
+            self._simulate(handle.base + int(idx) * handle.itemsize)
+        else:
+            self._simulate(handle.addr(idx))
+
+    def _simulate(self, addrs: np.ndarray | int) -> None:
+        """Run ``addrs`` through the current thread's simulator and add
+        its miss deltas to the current counters."""
         sim = self._sims[self._thread]
         c = self.counters
         b1, b2, b3, bt = sim.l1.misses, sim.l2.misses, sim.l3.misses, sim.tlb.misses
@@ -427,25 +443,3 @@ class CacheSimMemory(MemoryModel):
         c.l2_misses += sim.l2.misses - b2
         c.l3_misses += sim.l3.misses - b3
         c.tlb_d_misses += sim.tlb.misses - bt
-
-    def _touch(self, handle: ArrayHandle, idx, n: int, mode: str,
-               start: int | None = None) -> None:
-        sim = self._sims[self._thread]
-        c = self.counters
-        before_l1, before_l2, before_tlb = sim.l1.misses, sim.l2.misses, sim.tlb.misses
-        before_l3 = sim.l3.misses
-        if idx is None:
-            # A streaming range: (start, count) when the caller knows the
-            # position, else synthesized from the array base (the line/page
-            # counts of a sequential sweep do not depend on the position).
-            first = 0 if start is None else int(start)
-            sim.access(handle.base
-                       + (first + np.arange(n, dtype=np.int64)) * handle.itemsize)
-        elif np.isscalar(idx):
-            sim.access(handle.base + int(idx) * handle.itemsize)
-        else:
-            sim.access(handle.addr(idx))
-        c.l1_misses += sim.l1.misses - before_l1
-        c.l2_misses += sim.l2.misses - before_l2
-        c.l3_misses += sim.l3.misses - before_l3
-        c.tlb_d_misses += sim.tlb.misses - before_tlb

@@ -79,7 +79,7 @@ class TestCacheSim:
         sim.access(4096)
         assert sim.l1_misses == 1 and sim.tlb_misses == 1
 
-    def test_inclusive_hierarchy_order(self):
+    def test_l1_capacity_misses_hit_in_l2(self):
         sim = CacheSim(tiny_spec())
         # touch more lines than L1 holds but fewer than L2
         addrs = np.arange(0, 1024, 64, dtype=np.int64)  # 16 lines; L1 = 8
@@ -88,6 +88,16 @@ class TestCacheSim:
         # second pass: all L1 capacity misses hit in L2
         assert sim.l2.misses == 16
         assert sim.l1.misses > 16
+
+    def test_levels_are_not_inclusive(self):
+        """L2 sees only L1's misses and evicts nothing from L1, so a line
+        kept hot in L1 ages out of L2 while L1 still holds it."""
+        sim = CacheSim(tiny_spec())
+        for k in range(1, 6):
+            # lines 0 and 8k share L1 set 0 (2 ways) and L2 set 0 (4 ways)
+            sim.access(np.array([0, 8 * k]) * sim.line_bytes)
+        assert sim.l1.access(0) is True
+        assert sim.l2.access(0) is False
 
     def test_empty_batch(self):
         sim = CacheSim(tiny_spec())

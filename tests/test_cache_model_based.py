@@ -2,10 +2,16 @@
 
 from collections import OrderedDict
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
-from repro.machine.cache import CacheLevelSpec, _SetAssocLevel
+from repro.machine.cache import (
+    CacheHierarchySpec, CacheLevelSpec, CacheSim, _SetAssocLevel,
+)
+from repro.machine.cost_model import XC30
+from tests.test_cache import tiny_spec
 
 
 class _ReferenceLRU:
@@ -69,3 +75,119 @@ class TestSweeps:
         # 16 ways x 4 sets holds all 12 lines: only cold misses remain
         assert misses[16] == 12
         assert misses[1] > misses[16]
+
+
+class _ReferenceSim:
+    """Per-line reference for :class:`CacheSim`: each collapsed line
+    goes to the TLB and L1 one at a time, to L2 on an L1 miss and to L3
+    on an L2 miss."""
+
+    def __init__(self, spec: CacheHierarchySpec,
+                 l3: _ReferenceLRU | None = None) -> None:
+        self.line_bytes = spec.l1.line_bytes
+        self.page_bytes = spec.tlb.page_bytes
+        self.l1 = _ReferenceLRU(spec.l1.n_sets, spec.l1.ways)
+        self.l2 = _ReferenceLRU(spec.l2.n_sets, spec.l2.ways)
+        self.l3 = l3 or _ReferenceLRU(spec.l3.n_sets, spec.l3.ways)
+        self.tlb = OrderedDict()
+        self.tlb_entries = spec.tlb.entries
+        self.tlb_misses = 0
+        self.accesses = 0
+
+    def access(self, addrs) -> None:
+        prev = None
+        for a in np.atleast_1d(addrs).tolist():
+            line = a // self.line_bytes
+            if line == prev:
+                continue
+            prev = line
+            self.accesses += 1
+            self._tlb_access(a // self.page_bytes)
+            if not self.l1.access(line) and not self.l2.access(line):
+                self.l3.access(line)
+
+    def _tlb_access(self, page: int) -> None:
+        if page in self.tlb:
+            self.tlb.move_to_end(page)
+            return
+        self.tlb_misses += 1
+        if len(self.tlb) >= self.tlb_entries:
+            self.tlb.popitem(last=False)
+        self.tlb[page] = None
+
+    def counts(self) -> tuple:
+        return (self.accesses, self.l1.misses, self.l2.misses,
+                self.l3.misses, self.tlb_misses)
+
+
+def _counts(sim: CacheSim) -> tuple:
+    return (sim.accesses, sim.l1.misses, sim.l2.misses, sim.l3.misses,
+            sim.tlb.misses)
+
+
+def _batches(rng: np.random.Generator, spec: CacheHierarchySpec,
+             n_calls: int):
+    """Seeded address batches: streaming runs, random gathers, scalars,
+    a hot line interleaved with a stream, and same-page runs split
+    across two calls.  Streams cover eight L3s, gathers eight L3s or two
+    L2s, the hot line's stream two L2s, so every level both hits and
+    misses."""
+    # 8-byte element index ranges spanning eight L3s and two L2s
+    far, near = spec.l3.size_bytes, spec.l2.size_bytes // 4
+    for _ in range(n_calls):
+        kind = rng.integers(5)
+        base = int(rng.integers(0, far)) * 8
+        if kind == 0:    # streaming run, with repeated elements
+            itemsize = int(rng.choice([4, 8]))
+            idx = np.arange(int(rng.integers(1, 300)), dtype=np.int64)
+            yield np.repeat(base + idx * itemsize, rng.integers(1, 3, idx.size))
+        elif kind == 1:  # random gather
+            span = far if rng.integers(2) else near
+            yield rng.integers(0, span, int(rng.integers(1, 120))) * 8
+        elif kind == 2:  # scalar, Python or NumPy
+            yield base if rng.integers(2) else np.int64(base)
+        elif kind == 3:  # a hot line between the elements of a stream
+            stream = rng.integers(0, near) * 8 + np.arange(
+                0, int(rng.integers(2, 40)) * 64, 64, dtype=np.int64)
+            hot = np.full(stream.size, rng.integers(0, near) * 8)
+            yield np.column_stack([hot, stream]).ravel()
+        else:            # one page, split mid-line across two calls
+            page = base - base % 4096
+            run = page + np.arange(0, 4096, 8, dtype=np.int64)
+            cut = int(rng.integers(1, run.size))
+            yield run[:cut]
+            yield run[cut:]
+
+
+class TestHierarchyAgainstReference:
+    """``CacheSim.access`` (each level filters the misses of the level
+    above) against the per-line reference, compared after every call."""
+
+    def _replay(self, spec: CacheHierarchySpec, n_sims: int, seed: int) -> None:
+        sims = [CacheSim(spec) for _ in range(n_sims)]
+        refs = [_ReferenceSim(spec)]
+        for sim in sims[1:]:
+            # wired like CacheSimMemory(shared_l3=True)
+            sim.l3 = sims[0].l3
+            refs.append(_ReferenceSim(spec, l3=refs[0].l3))
+        rng = np.random.default_rng(seed)
+        for call, addrs in enumerate(_batches(rng, spec, 400)):
+            k = int(rng.integers(n_sims))
+            sims[k].access(addrs)
+            refs[k].access(addrs)
+            for sim, ref in zip(sims, refs):
+                assert _counts(sim) == ref.counts(), f"call {call}"
+        assert all(ref.l3.misses > 0 and ref.tlb_misses > 0 for ref in refs)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tiny_spec(self, seed):
+        self._replay(tiny_spec(), 1, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scaled_xc30(self, seed):
+        # one-set 8-way L1 and an 8-entry TLB
+        self._replay(XC30.scaled(64).hierarchy, 1, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_two_sims_share_one_l3(self, seed):
+        self._replay(XC30.scaled(64).hierarchy, 2, seed)
