@@ -43,26 +43,27 @@ import sys
 
 import numpy as np
 
+from repro.kernels import BY_NAME, LABELS, VARIANTS
 from repro.machine.counters import format_count
-
-_ALGORITHMS = ("pagerank", "bfs", "sssp", "bc", "coloring", "mst", "prim",
-               "triangles", "components")
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.analysis.runner import INSTANCES
+    from repro.generators.registry import DATASETS
+
     ap = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     sub.add_parser("info", help="list machines and datasets")
 
     stats = sub.add_parser("stats", help="dataset statistics")
-    stats.add_argument("dataset")
+    stats.add_argument("dataset", choices=tuple(DATASETS))
     stats.add_argument("--scale", type=int, default=12)
     stats.add_argument("--seed", type=int, default=42)
 
     run = sub.add_parser("run", help="run one algorithm")
-    run.add_argument("algorithm", choices=_ALGORITHMS)
-    run.add_argument("dataset")
+    run.add_argument("algorithm", choices=tuple(BY_NAME))
+    run.add_argument("dataset", choices=tuple(DATASETS))
     run.add_argument("--direction", default="pull",
                      choices=("push", "pull", "push-pa"))
     run.add_argument("--scale", type=int, default=12)
@@ -71,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--machine", default="XC30")
     run.add_argument("--cache-scale", type=int, default=64)
     run.add_argument("--iterations", type=int, default=10,
-                     help="PageRank / coloring iteration budget")
+                     help="PageRank iterations; BC sampled sources")
     run.add_argument("--source", type=int, default=None,
                      help="root vertex for traversals (default: max degree)")
 
@@ -117,8 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          "(exit codes: 0 clean, 1 findings, 2 usage error)")
     an.add_argument("--fault-seeds", type=int, default=2,
                     help="number of fault-plan seeds per chaos cell")
-    an.add_argument("--dataset", default="er",
-                    choices=("er", "rmat", "road", "comm"),
+    an.add_argument("--dataset", default="er", choices=tuple(INSTANCES),
                     help="instance family for the dynamic pass")
     an.add_argument("--threads", "-P", type=int, default=4)
     an.add_argument("--scale", type=int, default=120,
@@ -129,18 +129,17 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("--algorithm", action="append", dest="algorithms",
                     metavar="NAME",
                     help="restrict the dynamic pass (repeatable); "
-                         "names as in Section 4: PR TC BFS SSSP-Δ BC BGC MST")
+                         "names as in Section 4: " + " ".join(LABELS))
 
     tr = sub.add_parser(
         "trace",
         help="run one kernel under the tracer and export "
              "Chrome-trace/JSONL/metrics views")
     tr.add_argument("algorithm", nargs="?", default=None,
-                    choices=("pagerank", "bfs", "sssp", "cc"))
-    tr.add_argument("--variant", default="push",
-                    choices=("push", "pull", "push-pa", "switching", "mp"),
-                    help="push/pull everywhere; push-pa (SM pagerank), "
-                         "switching (bfs), mp (DM pagerank)")
+                    choices=tuple(BY_NAME))
+    tr.add_argument("--variant", default="push", choices=VARIANTS,
+                    help="push/pull; push-pa (SM pagerank, triangles); "
+                         "switching (bfs); with --dm, a row's backends")
     tr.add_argument("--engine", default="interpreted",
                     choices=("interpreted", "batched"),
                     help="batched = stream-emitting kernels "
@@ -154,8 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out", required=True,
                     help="output directory (or the target file "
                          "with --bench)")
-    tr.add_argument("--dataset", default="er",
-                    choices=("er", "rmat", "road", "comm"))
+    tr.add_argument("--dataset", default="er", choices=tuple(INSTANCES))
     tr.add_argument("--scale", type=int, default=96,
                     help="vertex count of the traced instance")
     tr.add_argument("--seed", type=int, default=7)
@@ -300,6 +298,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_run(args) -> int:
     from repro.generators.registry import load_dataset
+    from repro.kernels import launch
     from repro.machine.cost_model import MACHINES
     from repro.machine.memory import CountingMemory
     from repro.runtime.sm import SMRuntime
@@ -308,62 +307,28 @@ def _cmd_run(args) -> int:
         print(f"unknown machine {args.machine!r}; have {sorted(MACHINES)}",
               file=sys.stderr)
         return 2
-    weighted = args.algorithm in ("sssp", "mst", "prim")
+    k = BY_NAME[args.algorithm]
     g = load_dataset(args.dataset, scale=args.scale, seed=args.seed,
-                     weighted=weighted)
+                     weighted=k.weighted)
     machine = MACHINES[args.machine].scaled(args.cache_scale)
     rt = SMRuntime(g, P=args.threads, machine=machine,
                    memory=CountingMemory(machine.hierarchy))
     src = (args.source if args.source is not None
            else int(np.argmax(np.diff(g.offsets))))
-
-    if args.algorithm == "pagerank":
-        from repro.algorithms import pagerank
-        r = pagerank(g, rt, direction=args.direction,
-                     iterations=args.iterations)
-        extra = f"top vertex {int(np.argmax(r.ranks))}"
-    elif args.algorithm == "bfs":
-        from repro.algorithms import bfs
-        r = bfs(g, rt, src, direction=args.direction)
-        extra = f"reached {int((r.level >= 0).sum())}/{g.n} from {src}"
-    elif args.algorithm == "sssp":
-        from repro.algorithms import sssp_delta
-        r = sssp_delta(g, rt, src, direction=args.direction)
-        extra = f"{r.epochs} epochs from {src}"
-    elif args.algorithm == "bc":
-        from repro.algorithms import betweenness_centrality
-        r = betweenness_centrality(g, rt, direction=args.direction,
-                                   sources=min(args.iterations, g.n))
-        extra = f"top broker {int(np.argmax(r.bc))} ({r.n_sources} sources)"
-    elif args.algorithm == "coloring":
-        from repro.algorithms import boman_coloring
-        r = boman_coloring(g, rt, direction=args.direction, max_colors=1024)
-        extra = f"{r.n_colors} colors in {r.iterations} iterations"
-    elif args.algorithm == "mst":
-        from repro.algorithms import boruvka_mst
-        r = boruvka_mst(g, rt, direction=args.direction)
-        extra = f"{len(r.edges)} edges, weight {r.total_weight:.1f}"
-    elif args.algorithm == "prim":
-        from repro.algorithms import prim_mst
-        r = prim_mst(g, rt, direction=args.direction)
-        extra = f"{len(r.edges)} edges, weight {r.total_weight:.1f}"
-    elif args.algorithm == "triangles":
-        from repro.algorithms import triangle_count
-        r = triangle_count(g, rt, direction=args.direction)
-        extra = f"{r.total} triangles"
-    else:
-        from repro.algorithms.connected_components import connected_components
-        r = connected_components(g, rt, direction=args.direction)
-        extra = f"{r.n_components} components in {r.rounds} rounds"
+    # --iterations also sets BC's sampled-source count
+    budget = {"sources": args.iterations} if "sources" in k.kwargs else {}
+    _, r = launch(k, args.direction, g, rt, args.iterations, start=src,
+                  **budget)
 
     print(f"{args.algorithm} [{args.direction}] on {args.dataset} "
-          f"(scale {args.scale}, T={args.threads}, {args.machine}): {extra}")
+          f"(scale {args.scale}, T={args.threads}, {args.machine}): "
+          f"{k.summary(r, g, src)}")
     print(f"simulated time: {r.time:,.0f} mtu")
     c = r.counters
     print("events: " + "  ".join(
-        f"{k}={format_count(getattr(c, k))}"
-        for k in ("reads", "writes", "atomics", "locks", "l3_misses",
-                  "branches_cond")))
+        f"{name}={format_count(getattr(c, name))}"
+        for name in ("reads", "writes", "atomics", "locks", "l3_misses",
+                     "branches_cond")))
     return 0
 
 
@@ -448,7 +413,7 @@ def _cmd_analyze(args) -> int:
 
     try:
         if do_race:
-            n_alg = len(args.algorithms or runner.ALGORITHMS)
+            n_alg = len(args.algorithms or LABELS)
             say(f"race detector: {n_alg} algorithm"
                 f"{'' if n_alg == 1 else 's'} x push/pull, "
                 f"P={args.threads}, {args.dataset} n={args.scale}")
@@ -492,12 +457,13 @@ def _cmd_analyze(args) -> int:
 
     if do_effects:
         from repro.analysis.effect_report import render_text, report_to_json
-        from repro.analysis.effects import analyze_effects
+        from repro.analysis.effects import KERNELS, analyze_effects
         from repro.observability.footprint import (
             RECONCILE_CELLS, reconcile_effects,
         )
 
-        say(f"effect inference: 17 kernels (SM+DM), rules ANL101-ANL105")
+        say(f"effect inference: {len(KERNELS)} kernels (SM+DM), "
+            "rules ANL101-ANL105")
         report = analyze_effects()
         say(render_text(report), end="")
         effects_failed = not report.ok

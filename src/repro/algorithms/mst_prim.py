@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms.common import (
-    PULL, PUSH, AlgoResult, GraphArrays, check_direction,
+    PUSH, AlgoResult, GraphArrays, check_direction,
 )
 from repro.graph.csr import CSRGraph
 from repro.runtime.sm import SMRuntime
@@ -97,10 +97,13 @@ def prim_mst(g: CSRGraph, rt: SMRuntime, direction: str = PUSH) -> PrimResult:
             total_weight += float(key[u])
         # master-step tree marking runs as a traced sequential region:
         # outside one, the store would be invisible to checkpoint
-        # rollback and counter reconciliation (ANL006)
+        # rollback and counter reconciliation (ANL006).  So does the
+        # push key update's read of u's neighbor-list bounds.
         def mark_root(u: int = u) -> None:
             in_tree[u] = True
             mem.write(tree_h, idx=u, mode="rand")
+            if direction == PUSH:
+                mem.read(ga.off, idx=u, count=2, mode="rand")
 
         rt.sequential(mark_root)
         rounds += 1
@@ -135,7 +138,6 @@ def prim_mst(g: CSRGraph, rt: SMRuntime, direction: str = PUSH) -> PrimResult:
                 parent[tgt[changed]] = u
 
             rt.parallel_for(np.arange(len(nbrs)), update_body)
-            mem.read(ga.off, idx=u, count=2, mode="rand")
         else:
             def update_body(t: int, vs: np.ndarray) -> None:
                 if len(vs) == 0:

@@ -68,6 +68,7 @@ from repro.analysis.lint import (
     ATOMIC_DECLS, REGION_METHODS, RUNTIME_NAMES, STORE_DECLS,
     _direction_compared, _name_direction,
 )
+from repro.kernels import EFFECT_ENTRIES
 
 SEVERITY = {
     "ANL101": "error", "ANL102": "error", "ANL103": "advice",
@@ -81,31 +82,12 @@ GRAPH_ARRAY_FIELDS = {"off": "offsets", "adj": "adj", "wgt": "weights"}
 #: data-carrying DM verbs that require a registered window
 DATA_RMA_VERBS = {"put", "accumulate"}
 
-#: the 17-kernel effect matrix: name -> (module relpath under src/repro,
-#: entry function).  11 SM kernels, 4 DM kernels, 2 strategy kernels.
-KERNELS: tuple[tuple[str, str, str], ...] = (
-    ("pagerank", "algorithms/pagerank.py", "pagerank"),
-    ("bfs", "algorithms/bfs.py", "bfs"),
-    ("sssp_delta", "algorithms/sssp_delta.py", "sssp_delta"),
-    ("betweenness_centrality", "algorithms/bc.py", "betweenness_centrality"),
-    ("bc_weighted", "algorithms/bc_weighted.py",
-     "betweenness_centrality_weighted"),
-    ("bc_approx", "algorithms/bc_approx.py", "approx_bc_vertex"),
-    ("boman_coloring", "algorithms/coloring.py", "boman_coloring"),
-    ("triangle_count", "algorithms/triangle.py", "triangle_count"),
-    ("connected_components", "algorithms/connected_components.py",
-     "connected_components"),
-    ("boruvka_mst", "algorithms/mst_boruvka.py", "boruvka_mst"),
-    ("prim_mst", "algorithms/mst_prim.py", "prim_mst"),
-    ("dm_pagerank", "algorithms/dm_pagerank.py", "dm_pagerank"),
-    ("dm_bfs", "algorithms/dm_bfs.py", "dm_bfs"),
-    ("dm_sssp_delta", "algorithms/dm_sssp.py", "dm_sssp_delta"),
-    ("dm_triangle_count", "algorithms/dm_triangle.py", "dm_triangle_count"),
-    ("frontier_exploit_coloring", "strategies/frontier_exploit.py",
-     "frontier_exploit_coloring"),
-    ("conflict_removal_coloring", "strategies/conflict_removal.py",
-     "conflict_removal_coloring"),
-)
+#: the effect matrix: (name, module relpath under src/repro, entry
+#: function).  11 SM kernels, 4 DM kernels, 2 strategy kernels.
+KERNELS: tuple[tuple[str, str, str], ...] = tuple(
+    (name, module.replace(".", "/") + ".py", fn)
+    for name, entry in EFFECT_ENTRIES.items()
+    for module, _, fn in [entry.partition(":")])
 
 _HINT_RE = re.compile(
     r"#\s*effects:\s*(alias|disjoint-writers)\s+(.+?)\s*$")

@@ -38,7 +38,6 @@ imported at call time, so importing this module for
 
 from __future__ import annotations
 
-import importlib
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
@@ -47,6 +46,7 @@ import numpy as np
 
 from repro.generators import community_graph, erdos_renyi, rmat, road_network
 from repro.graph.csr import CSRGraph
+from repro.kernels import BY_LABEL, DIRECTIONS, KERNELS, LABELS, launch
 
 if TYPE_CHECKING:
     from repro.analysis.crosscheck import CrossCheckResult, DMCommCheckResult
@@ -55,24 +55,13 @@ if TYPE_CHECKING:
     from repro.runtime.faults import FaultPlan
     from repro.runtime.sm_faults import SMFaultPlan
 
-#: the seven instrumented algorithms of the paper, in Section-4 order
-ALGORITHMS = ("PR", "TC", "BFS", "SSSP-Δ", "BC", "BGC", "MST")
+#: (algorithm, tuple of backend variants) per kernel with a DM entry,
+#: backends in Section 6.3 order
+DM_MATRIX = tuple((k.label, k.dm_variants) for k in KERNELS if k.dm)
 
-#: algorithms that need edge weights on their input graph
-WEIGHTED = frozenset({"SSSP-Δ", "MST"})
-
-#: (algorithm, tuple of backend variants) in Section 6.3 order
-DM_MATRIX = (
-    ("PR", ("mp", "rma-push", "rma-pull")),
-    ("TC", ("rma-pull", "rma-push", "mp")),
-    ("BFS", ("push", "pull", "switching")),
-    ("SSSP-Δ", ("push", "pull")),
-)
-
-#: the SM chaos cells: the four reference-checked kernels x direction
-#: (BC/BGC/MST have no sequential reference wired here; the race pass
-#: covers them fault-free)
-SM_MATRIX = tuple((a, ("push", "pull")) for a in ("PR", "TC", "BFS", "SSSP-Δ"))
+#: the SM chaos cells: each kernel with a sequential reference x
+#: direction (the race pass covers BC/BGC/MST fault-free)
+SM_MATRIX = tuple((k.label, DIRECTIONS) for k in KERNELS if k.reference)
 
 #: PageRank iterations per pass (small: the chaos suite is a grid)
 _PR_ITERATIONS = {"race": 5, "dm": 3, "faults": 3}
@@ -80,31 +69,10 @@ _PR_ITERATIONS = {"race": 5, "dm": 3, "faults": 3}
 #: average degree of the generated instances
 _D_BAR = 4.0
 
-#: chaos tolerance against the PageRank reference: recovery replays
-#: reorder float accumulates, which legally reassociates the sums
-_FLOAT_ATOL = 1e-9
-
 #: DM result field counting how often a cut edge may legitimately be
 #: re-examined (PR: iterations; BFS: levels; SSSP-Δ: inner iterations)
 _DM_ROUNDS = {"PR": "iterations", "BFS": "levels",
               "SSSP-Δ": "inner_iterations"}
-
-#: (runtime, algorithm) -> (module in repro.algorithms, kernel, fixed
-#: keyword arguments); the variant goes in as ``direction=`` on SM and
-#: ``variant=`` on DM
-_KERNELS = {
-    ("sm", "PR"): ("pagerank", "pagerank", {}),
-    ("sm", "TC"): ("triangle", "triangle_count", {}),
-    ("sm", "BFS"): ("bfs", "bfs", {"root": 0}),
-    ("sm", "SSSP-Δ"): ("sssp_delta", "sssp_delta", {"source": 0}),
-    ("sm", "BC"): ("bc", "betweenness_centrality", {"sources": 4, "seed": 0}),
-    ("sm", "BGC"): ("coloring", "boman_coloring", {}),
-    ("sm", "MST"): ("mst_boruvka", "boruvka_mst", {}),
-    ("dm", "PR"): ("dm_pagerank", "dm_pagerank", {}),
-    ("dm", "TC"): ("dm_triangle", "dm_triangle_count", {}),
-    ("dm", "BFS"): ("dm_bfs", "dm_bfs", {"root": 0}),
-    ("dm", "SSSP-Δ"): ("dm_sssp", "dm_sssp_delta", {"source": 0}),
-}
 
 
 @dataclass(frozen=True)
@@ -190,49 +158,47 @@ class CellRun:
         return line + (f"  FAIL: {', '.join(failed)}" if failed else "")
 
 
+def _side(n: int) -> int:
+    return max(3, math.ceil(math.sqrt(max(n, 1))))
+
+
+#: the analysis instance families, built from ``(n, d_bar, seed,
+#: weighted)`` at roughly ``n`` vertices.  ``"er"`` is Erdős–Rényi at
+#: exactly ``n``; ``"rmat"`` rounds up to the nearest power of two
+#: (skewed degrees); ``"road"`` is the sparsified lattice at
+#: ``ceil(sqrt(n))²`` vertices -- the high-diameter extreme of Table 2,
+#: where traversal kernels run many thin supersteps; ``"comm"`` is the
+#: Chung-Lu community graph with planted hubs -- the communication-heavy
+#: extreme, where cross-partition edges dominate and push variants
+#: hammer remote accumulators.  Builders look generators up in this
+#: module's globals when called, so wrappers installed there run.
+INSTANCES: dict[str, Callable[[int, float, int, bool], CSRGraph]] = {
+    "er": lambda n, d_bar, seed, weighted: erdos_renyi(
+        n, d_bar=d_bar, seed=seed, weighted=weighted),
+    "rmat": lambda n, d_bar, seed, weighted: rmat(
+        max(4, math.ceil(math.log2(max(n, 2)))), d_bar=d_bar, seed=seed,
+        weighted=weighted),
+    "road": lambda n, d_bar, seed, weighted: road_network(
+        _side(n), _side(n), seed=seed, weighted=weighted),
+    "comm": lambda n, d_bar, seed, weighted: community_graph(
+        max(n, 16), d_bar=max(d_bar, 8.0), seed=seed, weighted=weighted),
+}
+
+
 def instance_graph(dataset: str, n: int, d_bar: float, seed: int,
                    weighted: bool) -> CSRGraph:
-    """Build the analysis instance for ``dataset`` at roughly ``n`` vertices.
-
-    ``"er"`` is Erdős–Rényi at exactly ``n``; ``"rmat"`` rounds up to the
-    nearest power of two (skewed degrees); ``"road"`` is the sparsified
-    lattice at ``ceil(sqrt(n))²`` vertices -- the high-diameter extreme
-    of Table 2, where traversal kernels run many thin supersteps;
-    ``"comm"`` is the Chung-Lu community graph with planted hubs -- the
-    communication-heavy extreme, where cross-partition edges dominate
-    and push variants hammer remote accumulators.
-    """
-    if dataset == "er":
-        return erdos_renyi(n, d_bar=d_bar, seed=seed, weighted=weighted)
-    if dataset == "rmat":
-        scale = max(4, math.ceil(math.log2(max(n, 2))))
-        return rmat(scale, d_bar=d_bar, seed=seed, weighted=weighted)
-    if dataset == "road":
-        side = max(3, math.ceil(math.sqrt(max(n, 1))))
-        return road_network(side, side, seed=seed, weighted=weighted)
-    if dataset == "comm":
-        return community_graph(max(n, 16), d_bar=max(d_bar, 8.0), seed=seed,
-                               weighted=weighted)
-    raise ValueError(
-        f"unknown dataset {dataset!r}; choose 'er', 'rmat', 'road', "
-        "or 'comm'")
+    """Build the :data:`INSTANCES` family ``dataset`` at roughly ``n``
+    vertices."""
+    if dataset not in INSTANCES:
+        raise ValueError(f"unknown dataset {dataset!r}; choose from "
+                         f"{', '.join(INSTANCES)}")
+    return INSTANCES[dataset](n, d_bar, seed, weighted)
 
 
 def cross_edges(g: CSRGraph, part: Partition1D) -> int:
     """Directed edges whose endpoints live on different processes."""
     srcs = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.offsets))
     return int((part.owner(srcs) != part.owner(g.adj)).sum())
-
-
-def _dispatch(cell: Cell, g: CSRGraph, rt, iterations: int):
-    """Run the cell's kernel on ``rt``; returns its result."""
-    module, name, kwargs = _KERNELS[cell.runtime, cell.algorithm]
-    kernel = getattr(importlib.import_module(f"repro.algorithms.{module}"),
-                     name)
-    axis = "direction" if cell.runtime == "sm" else "variant"
-    if cell.algorithm == "PR":
-        kwargs = dict(kwargs, iterations=iterations)
-    return kernel(g, rt, **kwargs, **{axis: cell.variant})
 
 
 def _bound(cell: Cell, g: CSRGraph, rt, result, report: RaceReport, P: int,
@@ -264,25 +230,22 @@ def _bound(cell: Cell, g: CSRGraph, rt, result, report: RaceReport, P: int,
 
 
 def _reference(algorithm: str, g: CSRGraph) -> np.ndarray:
+    """The chaos reference, called like the kernel."""
     from repro.algorithms import reference
-    if algorithm == "PR":
-        return reference.pagerank_reference(
-            g, iterations=_PR_ITERATIONS["faults"])
-    if algorithm == "TC":
-        return reference.triangle_per_vertex_reference(g)
-    if algorithm == "BFS":
-        return reference.bfs_reference(g, 0)
-    return reference.sssp_reference(g, 0)
+    k = BY_LABEL[algorithm]
+    kwargs = {k.start: 0} if k.start else {}
+    if k.iterations:
+        kwargs["iterations"] = _PR_ITERATIONS["faults"]
+    return getattr(reference, k.reference[0])(g, **kwargs)
 
 
 def _converged(algorithm: str, result, ref: np.ndarray) -> bool:
-    if algorithm == "PR":
-        return bool(np.allclose(result.ranks, ref, atol=_FLOAT_ATOL))
-    if algorithm == "TC":
-        return bool(np.array_equal(result.per_vertex, ref))
-    if algorithm == "BFS":
-        return bool(np.array_equal(result.level, ref))
-    return bool(np.allclose(result.dist, ref))
+    """The result matches the reference within the row's tolerance
+    (PageRank: recovery replays legally reassociate float sums)."""
+    _, name, atol = BY_LABEL[algorithm].reference
+    got = getattr(result, name)
+    return bool(np.array_equal(got, ref) if atol is None
+                else np.allclose(got, ref, atol=atol))
 
 
 def run_cell(cell: Cell, g: CSRGraph, P: int, iterations: int, *,
@@ -324,7 +287,8 @@ def run_cell(cell: Cell, g: CSRGraph, P: int, iterations: int, *,
         from repro.runtime.sm_faults import attach_sm_fault_injector
         injector = (attach_sm_fault_injector if cell.runtime == "sm"
                     else attach_fault_injector)(rt, cell.plan)
-    result = _dispatch(cell, g, rt, iterations)
+    _, result = launch(BY_LABEL[cell.algorithm], cell.variant, g, rt,
+                       iterations, dm=cell.runtime == "dm")
     report = detector.report()
     applied = {}
     if cell.runtime == "dm":
@@ -366,23 +330,18 @@ def analyze_algorithms(n: int = 120, P: int = 4, seed: int = 7,
                        dataset: str = "er",
                        progress: Callable[[str], None] | None = None
                        ) -> list[CellRun]:
-    """The race pass: one :class:`CellRun` per (algorithm, direction).
-
-    ``dataset`` selects the instance family (:func:`instance_graph`):
-    ``"er"`` (the default), ``"rmat"`` (skewed degrees at a small
-    scale), ``"road"`` (the high-diameter regime), or ``"comm"`` (the
-    communication-heavy regime of cross-partition hub edges).
-    """
-    algos = tuple(algorithms) if algorithms else ALGORITHMS
-    unknown = set(algos) - set(ALGORITHMS)
+    """The race pass: one :class:`CellRun` per (algorithm, direction)
+    on the :data:`INSTANCES` family ``dataset``."""
+    algos = tuple(algorithms) if algorithms else LABELS
+    unknown = set(algos) - set(LABELS)
     if unknown:
         raise ValueError(f"unknown algorithm(s) {sorted(unknown)}; "
-                         f"choose from {ALGORITHMS}")
+                         f"choose from {LABELS}")
     graphs = _instances(dataset, n, seed)
     return _collect(
-        (run_cell(Cell("sm", a, d), graphs[a in WEIGHTED], P,
+        (run_cell(Cell("sm", a, d), graphs[BY_LABEL[a].weighted], P,
                   _PR_ITERATIONS["race"], slack=slack)
-         for a in algos for d in ("push", "pull")), progress)
+         for a in algos for d in DIRECTIONS), progress)
 
 
 def analyze_dm(n: int = 96, P: int = 4, seed: int = 7, slack: float = 4.0,
@@ -398,7 +357,7 @@ def analyze_dm(n: int = 96, P: int = 4, seed: int = 7, slack: float = 4.0,
     """
     graphs = _instances(dataset, n, seed)
     return _collect(
-        (run_cell(Cell("dm", a, v), graphs[a in WEIGHTED], P,
+        (run_cell(Cell("dm", a, v), graphs[BY_LABEL[a].weighted], P,
                   _PR_ITERATIONS["dm"], slack=slack)
          for a, variants in DM_MATRIX for v in variants), progress)
 
@@ -477,7 +436,7 @@ def _chaos(graphs: dict[bool, CSRGraph], P: int, runtimes: Iterable[str],
         matrix, default_grid = _CHAOS[runtime]
         traced = runtime == "sm"
         for algorithm, variants in matrix:
-            g = graphs[algorithm in WEIGHTED]
+            g = graphs[BY_LABEL[algorithm].weighted]
             if algorithm not in refs:
                 refs[algorithm] = _reference(algorithm, g)
             for variant in variants:

@@ -43,19 +43,22 @@ from __future__ import annotations
 import json
 import os
 
+from repro.kernels import DIRECTIONS, KERNELS
+
 #: versioned schema tag of the baseline file
 BENCH_SCHEMA = "repro-bench/3"
 
-#: the baseline-family grid: (algorithm, variant) x (sm, dm)
-BENCH_ALGORITHMS = ("pagerank", "bfs", "sssp")
-BENCH_VARIANTS = ("push", "pull")
+#: the baseline-family grid: (algorithm, direction) x (sm, dm), over
+#: the kernels with a DM and a batched entry, so the family runs on both
+#: runtimes under either engine
+BENCH_ALGORITHMS = tuple(k.name for k in KERNELS if k.dm and k.batched)
 
 #: one deterministic instance for every baseline cell
 BENCH_CONFIG = {"dataset": "er", "n": 96, "P": 4, "seed": 7,
                 "iterations": 5, "cache_scale": 64}
 
 #: the large-family grid (SM only; always the batched engine)
-LARGE_ALGORITHMS = ("pagerank", "bfs", "sssp", "cc")
+LARGE_ALGORITHMS = tuple(k.name for k in KERNELS if k.batched)
 
 #: 100x the baseline vertex count; analytic miss model (cache_scale=0)
 LARGE_CONFIG = {"dataset": "er", "n": 9600, "P": 4, "seed": 7,
@@ -131,12 +134,12 @@ def bench_sweep(engine: str = "interpreted") -> dict:
     """
     cells = []
     for algorithm in BENCH_ALGORITHMS:
-        for variant in BENCH_VARIANTS:
+        for variant in DIRECTIONS:
             for runtime in ("sm", "dm"):
                 cells.append(_run_cell(algorithm, variant, runtime,
                                        BENCH_CONFIG, "baseline", engine))
     for algorithm in LARGE_ALGORITHMS:
-        for variant in BENCH_VARIANTS:
+        for variant in DIRECTIONS:
             cells.append(_run_cell(algorithm, variant, "sm",
                                    LARGE_CONFIG, "large", "batched"))
     return {"schema": BENCH_SCHEMA, "kind": "trace",

@@ -1,14 +1,16 @@
 """The ``python -m repro trace`` entry point.
 
-Runs one kernel (pagerank / bfs / sssp) on a deterministic generated
-instance with a :class:`~repro.observability.tracer.Tracer` attached,
-optionally on the DM runtime and optionally under the default chaos
-fault plan, then writes all three exports into a directory::
+Runs any row of the kernel table (:mod:`repro.kernels`) on a
+deterministic generated instance with a
+:class:`~repro.observability.tracer.Tracer` attached, optionally on
+the DM runtime and optionally under the runtime's default chaos fault
+plan, then writes the exports into a directory::
 
     python -m repro trace pagerank --variant push --out /tmp/t
     python -m repro trace pagerank --variant pull --flame --out /tmp/t
     python -m repro trace pagerank --variant push --dm --faults --out /tmp/t
     python -m repro trace bfs --variant push --faults --flame --out /tmp/t
+    python -m repro trace triangles --variant rma-pull --dm --out /tmp/t
     python -m repro trace --bench --out BENCH_trace.json
 
 By default the run is equipped with the trace-driven cache simulation
@@ -22,12 +24,10 @@ byte-identical ``events.jsonl`` / ``trace.json`` / ``metrics.json`` /
 
 from __future__ import annotations
 
+from repro.kernels import BY_NAME, launch
 from repro.observability.export import write_outputs
 from repro.observability.hwcounters import DEFAULT_CACHE_SCALE, equip_cache_sim
 from repro.observability.tracer import attach_tracer
-
-#: kernels the trace driver knows how to launch
-TRACE_ALGORITHMS = ("pagerank", "bfs", "sssp", "cc")
 
 #: execution engines: "interpreted" = per-element MemoryModel calls,
 #: "batched" = stream-emitting kernels (repro.streams) replaying numpy
@@ -51,67 +51,6 @@ def default_sm_fault_plan(seed: int = 1):
     return SMFaultPlan(seed=seed, straggler=0.1, lock_preempt=0.1,
                        cas_lost=0.05, cas_duplicate=0.05, store_delay=0.05,
                        crash=0.05)
-
-
-def _dispatch(algorithm: str, variant: str, g, rt, dm: bool,
-              iterations: int, engine: str = "interpreted"):
-    if engine not in TRACE_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from {TRACE_ENGINES}")
-    batched = engine == "batched" and not dm
-    # DM kernels already emit their communication as per-superstep verb
-    # batches (alltoallv, staged RMA), so the batched engine treats DM
-    # cells as an exact passthrough (docs/streams.md)
-    if batched and variant in ("switching", "push-pa", "mp"):
-        raise ValueError(
-            f"variant {variant!r} has no batched kernel; the batched "
-            "engine covers the plain push/pull kernels")
-    if algorithm == "pagerank":
-        if dm:
-            from repro.algorithms.dm_pagerank import dm_pagerank
-            resolved = {"push": "rma-push", "pull": "rma-pull"}.get(
-                variant, variant)
-            return resolved, dm_pagerank(g, rt, variant=resolved,
-                                         iterations=iterations)
-        if batched:
-            from repro.streams.kernels import pagerank_batched
-            return variant, pagerank_batched(g, rt, direction=variant,
-                                             iterations=iterations)
-        from repro.algorithms.pagerank import pagerank
-        return variant, pagerank(g, rt, direction=variant,
-                                 iterations=iterations)
-    if algorithm == "bfs":
-        if dm:
-            from repro.algorithms.dm_bfs import dm_bfs
-            return variant, dm_bfs(g, rt, root=0, variant=variant)
-        if variant == "switching":
-            from repro.strategies.switching import direction_optimizing_bfs
-            return variant, direction_optimizing_bfs(g, rt, root=0)
-        if batched:
-            from repro.streams.kernels import bfs_batched
-            return variant, bfs_batched(g, rt, root=0, direction=variant)
-        from repro.algorithms.bfs import bfs
-        return variant, bfs(g, rt, root=0, direction=variant)
-    if algorithm == "sssp":
-        if dm:
-            from repro.algorithms.dm_sssp import dm_sssp_delta
-            return variant, dm_sssp_delta(g, rt, source=0, variant=variant)
-        if batched:
-            from repro.streams.kernels import sssp_delta_batched
-            return variant, sssp_delta_batched(g, rt, source=0,
-                                               direction=variant)
-        from repro.algorithms.sssp_delta import sssp_delta
-        return variant, sssp_delta(g, rt, source=0, direction=variant)
-    if algorithm == "cc":
-        if dm:
-            raise ValueError("cc has no DM kernel; drop --dm")
-        if batched:
-            from repro.streams.kernels import cc_batched
-            return variant, cc_batched(g, rt, direction=variant)
-        from repro.algorithms.connected_components import connected_components
-        return variant, connected_components(g, rt, direction=variant)
-    raise ValueError(
-        f"unknown algorithm {algorithm!r}; choose from {TRACE_ALGORITHMS}")
 
 
 def run_traced(algorithm: str, variant: str = "push", dm: bool = False,
@@ -146,8 +85,14 @@ def run_traced(algorithm: str, variant: str = "push", dm: bool = False,
     against.
     """
     from repro.analysis.runner import instance_graph
-    g = instance_graph(dataset, n, d_bar=4.0, seed=seed,
-                       weighted=(algorithm == "sssp"))
+    k = BY_NAME.get(algorithm)
+    if k is None:
+        raise ValueError(f"unknown algorithm {algorithm!r}; "
+                         f"choose from {tuple(BY_NAME)}")
+    if engine not in TRACE_ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; choose from {TRACE_ENGINES}")
+    g = instance_graph(dataset, n, d_bar=4.0, seed=seed, weighted=k.weighted)
     if dm:
         from repro.runtime.dm import DMRuntime
         rt = DMRuntime(g.n, P)
@@ -168,8 +113,10 @@ def run_traced(algorithm: str, variant: str = "push", dm: bool = False,
             attach_sm_fault_injector(rt, default_sm_fault_plan(fault_seed))
     if attach is not None:
         attach(rt)
-    resolved, result = _dispatch(algorithm, variant, g, rt, dm, iterations,
-                                 engine=engine)
+    # DM kernels already batch their communication per superstep, so the
+    # batched engine runs DM cells unchanged (docs/streams.md)
+    resolved, result = launch(k, variant, g, rt, iterations, dm=dm,
+                              batched=engine == "batched")
     return rt, tracer, resolved, result
 
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.kernels import BY_NAME, DIRECTIONS, KERNELS
+
 
 def _handle_name(handle) -> str:
     return str(getattr(handle, "name", handle))
@@ -103,21 +105,12 @@ class ReconcileCell:
                 "ok": self.ok}
 
 
-#: traced cell -> effect-matrix kernel name
-_CELL_KERNELS = {
-    ("pagerank", False): "pagerank",
-    ("bfs", False): "bfs",
-    ("sssp", False): "sssp_delta",
-    ("cc", False): "connected_components",
-    ("pagerank", True): "dm_pagerank",
-    ("bfs", True): "dm_bfs",
-    ("sssp", True): "dm_sssp_delta",
-}
-
-#: the reconciliation matrix: (algorithm, variant, dm) per traced run
-RECONCILE_CELLS = tuple((algorithm, variant, dm)
-                        for algorithm, dm in _CELL_KERNELS
-                        for variant in ("push", "pull"))
+#: the reconciliation matrix, (kernel name, variant, dm) per traced
+#: run: every row with a batched entry, so each cell also reconciles
+#: under the stream engine, x its runtimes x push/pull
+RECONCILE_CELLS = tuple((k.name, variant, dm) for dm in (False, True)
+                        for k in KERNELS if k.batched and (k.dm or not dm)
+                        for variant in DIRECTIONS)
 
 
 def reconcile_effects(report=None, n: int = 96, P: int = 4,
@@ -149,7 +142,8 @@ def reconcile_effects(report=None, n: int = 96, P: int = 4,
         run_traced(algorithm, variant=variant, dm=dm, n=n, P=P,
                    iterations=iterations, cache_scale=0,
                    attach=rec.install, engine=engine)
-        kernel = _CELL_KERNELS[algorithm, dm]
+        row = BY_NAME[algorithm]
+        kernel = (row.dm if dm else row.sm).rpartition(":")[2]
         keff = report.kernels[kernel]
         claimed = set(keff.write_set) | set(keff.windows)
         traced = rec.written | rec.windows

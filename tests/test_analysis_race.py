@@ -10,7 +10,8 @@ import pytest
 
 from repro.analysis.crosscheck import crosscheck
 from repro.analysis.race import RaceError, RaceReport, attach_race_detector
-from repro.analysis.runner import ALGORITHMS, analyze_algorithms
+from repro.analysis.runner import analyze_algorithms
+from repro.kernels import LABELS
 from tests.conftest import make_runtime
 
 FIXTURE = Path(__file__).parent / "fixtures" / "bad_push_kernel.py"
@@ -294,7 +295,7 @@ class TestAlgorithmMatrix:
 
     def test_covers_full_matrix(self, matrix):
         assert {(r.cell.algorithm, r.cell.variant) for r in matrix} == {
-            (a, d) for a in ALGORITHMS for d in ("push", "pull")}
+            (a, d) for a in LABELS for d in ("push", "pull")}
 
     def test_zero_races_everywhere(self, matrix):
         dirty = [r for r in matrix if not r.report.clean]

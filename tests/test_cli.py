@@ -20,15 +20,16 @@ class TestStats:
         assert "n " in out and "D " in out
 
     def test_unknown_dataset(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(SystemExit) as exc:
             main(["stats", "not-a-graph"])
+        assert exc.value.code == 2
 
 
 class TestRun:
     @pytest.mark.parametrize("algo,needs_direction", [
         ("pagerank", True), ("bfs", True), ("sssp", True),
         ("triangles", True), ("coloring", True), ("mst", True),
-        ("prim", True), ("components", True),
+        ("prim", True), ("cc", True),
     ])
     def test_each_algorithm_runs(self, capsys, algo, needs_direction):
         rc = main(["run", algo, "am", "--scale", "8", "--threads", "4",

@@ -1,12 +1,9 @@
-"""Tests for edge-list I/O, the harness tables, config, and run_all CLI."""
-
-import io
+"""Tests for graph relabeling, the harness tables, config, and run_all CLI."""
 
 import numpy as np
 import pytest
 
 from repro.graph import relabel_random
-from repro.graph.io import read_edge_list, write_edge_list
 from repro.harness.config import DEFAULT, QUICK
 from repro.harness.experiments import ALL, table2
 from repro.harness.run_all import main as run_all_main
@@ -15,36 +12,11 @@ from repro.harness.tables import (
 )
 
 
-class TestEdgeListIO:
-    def test_roundtrip_unweighted(self, comm_graph):
-        buf = io.StringIO()
-        write_edge_list(comm_graph, buf)
-        buf.seek(0)
-        again = read_edge_list(buf, n=comm_graph.n)
-        assert again == comm_graph
-
-    def test_roundtrip_weighted(self, tiny_weighted):
-        buf = io.StringIO()
-        write_edge_list(tiny_weighted, buf)
-        buf.seek(0)
-        again = read_edge_list(buf, n=tiny_weighted.n)
-        assert again == tiny_weighted
-
-    def test_file_roundtrip(self, tmp_path, pa_graph):
-        path = tmp_path / "g.txt"
-        write_edge_list(pa_graph, path)
-        assert read_edge_list(path, n=pa_graph.n) == pa_graph
-
-    def test_comments_and_compaction(self):
-        text = "# header\n% other comment\n10 20\n20 30\n"
-        g = read_edge_list(io.StringIO(text))
-        assert g.n == 3 and g.m == 2  # ids compacted to 0..2
-
-    def test_relabel_preserves_structure(self, pa_graph):
-        shuffled = relabel_random(pa_graph, seed=3)
-        assert shuffled.n == pa_graph.n and shuffled.m == pa_graph.m
-        assert sorted(np.diff(shuffled.offsets)) == sorted(
-            np.diff(pa_graph.offsets))
+def test_relabel_preserves_structure(pa_graph):
+    shuffled = relabel_random(pa_graph, seed=3)
+    assert shuffled.n == pa_graph.n and shuffled.m == pa_graph.m
+    assert sorted(np.diff(shuffled.offsets)) == sorted(
+        np.diff(pa_graph.offsets))
 
 
 class TestTables:

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.kernels import DIRECTIONS, KERNELS
 from repro.observability import (
     SCHEMA, chrome_trace, metrics_rollup, to_jsonl_lines, write_outputs,
 )
@@ -68,8 +69,27 @@ class TestDeterminism:
             assert Path(p1[key]).read_bytes() == Path(p2[key]).read_bytes()
 
 
+#: every (kernel, variant, dm) the kernel table can launch: SM rows x
+#: push/pull plus the named SM variants, PageRank's partition-aware
+#: push, and DM rows x backends -- except DM PageRank mp, which
+#: test_dm_mp_pagerank_reconciles pins as a known defect
+TABLE_CELLS = (
+    [(k.name, v, False) for k in KERNELS
+     for v in (*DIRECTIONS, *k.sm_variants)]
+    + [("pagerank", "push-pa", False)]
+    + [(k.name, v, True) for k in KERNELS if k.dm for v in k.dm_variants
+       if (k.name, v) != ("pagerank", "mp")])
+
+
 class TestReconciliation:
     """Σ region/superstep deltas + barrier events == run totals, exactly."""
+
+    @pytest.mark.parametrize("algorithm,variant,dm", TABLE_CELLS)
+    def test_every_table_row_traces_clean(self, algorithm, variant, dm):
+        tracer = _trace(algorithm, variant=variant, dm=dm)
+        traced, actual = tracer.reconcile()
+        assert traced.to_dict() == actual.to_dict(), "counter reconciliation"
+        assert tracer.critical_totals()["reconciled"], "time decomposition"
 
     @pytest.mark.parametrize("algorithm,kw", [
         ("pagerank", dict(variant="push")),

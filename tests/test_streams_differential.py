@@ -17,10 +17,12 @@ import json
 import numpy as np
 import pytest
 
-from repro.observability.driver import TRACE_ALGORITHMS, run_traced
+from repro.kernels import KERNELS
+from repro.observability.driver import run_traced
 from repro.observability.export import metrics_rollup
 
-ALGORITHMS = list(TRACE_ALGORITHMS)
+#: the kernels the batched engine ports
+ALGORITHMS = [k.name for k in KERNELS if k.batched]
 DATASETS = ("er", "rmat", "road", "comm")
 VARIANTS = ("push", "pull")
 
