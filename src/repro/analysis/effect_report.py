@@ -91,10 +91,6 @@ def write_report(path: str | Path, report: EffectReport | None = None) -> Path:
     return out
 
 
-def load_golden(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 def main(argv: list[str] | None = None) -> int:
     import argparse
 

@@ -65,8 +65,8 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.analysis.lint import (
-    ATOMIC_DECLS, REGION_METHODS, RUNTIME_NAMES, STORE_DECLS,
-    _direction_compared, _name_direction,
+    ATOMIC_DECLS, RUNTIME_NAMES, STORE_DECLS, BranchVisitor, Launch,
+    ModuleIndex, mem_receiver, resolve_fn, trailing,
 )
 from repro.kernels import EFFECT_ENTRIES
 
@@ -208,15 +208,6 @@ def _register_name(expr: ast.AST) -> str | None:
     return None
 
 
-def _trailing(expr: ast.AST) -> str | None:
-    """Last identifier of a Name / dotted-attribute expression."""
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Attribute):
-        return expr.attr
-    return None
-
-
 class _Hints:
     """Parsed ``# effects:`` hint comments of one module."""
 
@@ -248,116 +239,38 @@ class _Hints:
         return any(_covers_name(n, self.disjoint) for n in names)
 
 
-@dataclass
-class _Launch:
-    """One region/superstep launch site."""
-
-    call: ast.Call
-    method: str                  # parallel_for | for_each_thread | ...
-    body_expr: ast.AST
-    enclosing: ast.AST | None
-    chain: tuple
-    scopes: list[dict]
-    ctx: str | None              # direction branch at the call site
-    by_owner: bool
-    barrier: bool                # launch closes with a barrier
-    line: int
-
-
-class _ModuleInfo(ast.NodeVisitor):
-    """Single-pass module index: functions, launches, handle names,
-    windows, annotate labels, call edges, imports."""
+class _ModuleInfo(ModuleIndex):
+    """A module's :class:`~repro.analysis.lint.ModuleIndex` plus the
+    effect facts: ``# effects:`` hints, register names, windows,
+    annotate labels and imports."""
 
     def __init__(self, path: str, source: str) -> None:
         self.path = path
         self.hints = _Hints(source)
-        self.scopes: list[dict] = [{}]
-        self.stack: list[tuple] = []
-        self.ctx_stack: list[str | None] = [None]
-        self.defs_ctx: dict[int, str | None] = {}
-        self.defs_chain: dict[int, tuple] = {}
-        self.funcs: list[ast.AST] = []
-        self.classes: dict[str, ast.ClassDef] = {}
-        self.methods: dict[str, list[ast.AST]] = {}
-        self.top_funcs: dict[str, ast.AST] = {}
-        self.launches: list[_Launch] = []
-        self.barrier_lines: dict[int, list[int]] = {}   # id(fn) -> linenos
         self.annotates: list[tuple] = []                # (id(fn), line, label)
         self.registers: dict[str, str] = {}             # trailing -> pattern
         self.ga_vars: dict[str, set] = {}               # trailing -> prefixes
         self.windows: set[str] = set()
-        self.calls_from: dict[int, list] = {}           # id(fn) -> callee exprs
         self.imports: dict[str, str] = {}               # name -> module
         self.ext_registers: dict[str, str] = {}         # from imported modules
-        self.tree = ast.parse(source, filename=path)
-        self.visit(self.tree)
-
-    # -- scope / context bookkeeping ------------------------------------------
-    def _enclosing(self):
-        for name, node in reversed(self.stack):
-            if node is not None:
-                return node
-        return None
+        # the base constructor visits the tree, so the effect facts'
+        # containers must exist before it runs
+        super().__init__(ast.parse(source, filename=path))
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         for alias in node.names:
             self.imports[alias.asname or alias.name] = node.module or ""
 
-    def resolve_handle(self, trailing: str) -> str:
+    def resolve_handle(self, name: str) -> str:
         """Registered-array pattern a handle variable's trailing name
         denotes, falling back to imported modules' register sites."""
-        return (self.registers.get(trailing)
-                or self.ext_registers.get(trailing)
-                or trailing)
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self.scopes[-1][node.name] = node
-        self.funcs.append(node)
-        self.defs_ctx[id(node)] = self.ctx_stack[-1]
-        chain = (node.name,) + tuple(n for n, _ in reversed(self.stack))
-        self.defs_chain[id(node)] = chain
-        if not self.stack:
-            self.top_funcs[node.name] = node
-        elif self.stack and self.stack[-1][1] is None:   # class body
-            self.methods.setdefault(node.name, []).append(node)
-        self.stack.append((node.name, node))
-        self.scopes.append({})
-        self.ctx_stack.append(None)
-        for stmt in node.body:
-            self.visit(stmt)
-        self.ctx_stack.pop()
-        self.scopes.pop()
-        self.stack.pop()
-
-    visit_AsyncFunctionDef = visit_FunctionDef
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        self.classes[node.name] = node
-        self.stack.append((node.name, None))
-        self.scopes.append({})
-        for stmt in node.body:
-            self.visit(stmt)
-        self.scopes.pop()
-        self.stack.pop()
-
-    def visit_If(self, node: ast.If, in_chain: bool = False) -> None:
-        d = _direction_compared(node.test)
-        saved = self.ctx_stack[-1]
-        self.visit(node.test)
-        self.ctx_stack[-1] = d or saved
-        for stmt in node.body:
-            self.visit(stmt)
-        self.ctx_stack[-1] = _else_ctx(node, d, saved, in_chain)
-        if _is_direction_elif(node, d):
-            self.visit_If(node.orelse[0], in_chain=True)
-        else:
-            for stmt in node.orelse:
-                self.visit(stmt)
-        self.ctx_stack[-1] = saved
+        return (self.registers.get(name)
+                or self.ext_registers.get(name)
+                or name)
 
     # -- handle / window registration -----------------------------------------
     def _note_register(self, target: ast.AST, value: ast.AST) -> None:
-        name = _trailing(target)
+        name = trailing(target)
         if name is None:
             return
         for candidate in _ifexp_arms(value):
@@ -378,123 +291,38 @@ class _ModuleInfo(ast.NodeVisitor):
                     if kw.arg == "prefix" and isinstance(kw.value, ast.Constant):
                         prefix = str(kw.value.value)
                 self.ga_vars.setdefault(name, set()).add(prefix)
-            elif _trailing(candidate) in self.ga_vars:
+            elif trailing(candidate) in self.ga_vars:
                 self.ga_vars.setdefault(name, set()).update(
-                    self.ga_vars[_trailing(candidate)])
+                    self.ga_vars[trailing(candidate)])
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for tgt in node.targets:
             self._note_register(tgt, node.value)
         self.generic_visit(node)
 
-    # -- launches, barriers, annotate, windows, call edges --------------------
+    # -- annotate labels and windows ------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        enc = self._enclosing()
         f = node.func
-        if enc is not None:
-            if isinstance(f, ast.Name):
-                self.calls_from.setdefault(id(enc), []).append(f.id)
-            elif isinstance(f, ast.Attribute):
-                self.calls_from.setdefault(id(enc), []).append(f.attr)
-            # functools.partial(helper, ...) references the helper too
-            if (_trailing(f) == "partial" and node.args
-                    and isinstance(node.args[0], ast.Name)):
-                self.calls_from.setdefault(id(enc), []).append(
-                    node.args[0].id)
-        if isinstance(f, ast.Attribute):
-            if f.attr in REGION_METHODS or f.attr == "superstep":
-                self._note_launch(node, f.attr, enc)
-            elif f.attr == "barrier":
-                self.barrier_lines.setdefault(id(enc), []).append(node.lineno)
-            elif f.attr == "annotate" and node.args:
+        if isinstance(f, ast.Attribute) and node.args:
+            if f.attr == "annotate":
                 label = _register_name(node.args[0])
                 if label is not None:
-                    self.annotates.append((id(enc), node.lineno, label))
-            elif f.attr == "register_window" and node.args:
+                    self.annotates.append(
+                        (id(self._enclosing()), node.lineno, label))
+            elif f.attr == "register_window":
                 pattern = _register_name(node.args[0])
                 if pattern is None:
-                    t = _trailing(node.args[0])
+                    t = trailing(node.args[0])
                     pattern = self.registers.get(t, t) if t else None
                 if pattern is not None:
                     self.windows.add(pattern)
-        self.generic_visit(node)
-
-    def _note_launch(self, node: ast.Call, method: str, enc) -> None:
-        pos = 0 if method == "superstep" else REGION_METHODS[method]
-        body = None
-        for kw in node.keywords:
-            if kw.arg == "body":
-                body = kw.value
-        if body is None and len(node.args) > pos:
-            body = node.args[pos]
-        if body is None:
-            return
-        by_owner = barrier = None
-        for kw in node.keywords:
-            if kw.arg == "by_owner" and isinstance(kw.value, ast.Constant):
-                by_owner = bool(kw.value.value)
-            if kw.arg == "barrier" and isinstance(kw.value, ast.Constant):
-                barrier = bool(kw.value.value)
-        chain = tuple(n for n, _ in reversed(self.stack))
-        # snapshot the bindings as of this statement: a later def reusing
-        # the same body name (push/pull variants) must not shadow it
-        self.launches.append(_Launch(
-            call=node, method=method, body_expr=body, enclosing=enc,
-            chain=chain, scopes=[dict(s) for s in self.scopes],
-            ctx=self.ctx_stack[-1],
-            by_owner=bool(by_owner),
-            barrier=(barrier if barrier is not None else True),
-            line=node.lineno))
-
-
-def _opp(direction: str | None) -> str | None:
-    if direction is None:
-        return None
-    return "pull" if direction == "push" else "push"
-
-
-def _is_direction_elif(node: ast.If, d: str | None) -> bool:
-    """Is this If the head of a multi-way direction dispatch chain?"""
-    return (d is not None and len(node.orelse) == 1
-            and isinstance(node.orelse[0], ast.If)
-            and _direction_compared(node.orelse[0].test) is not None)
-
-
-def _else_ctx(node: ast.If, d: str | None, saved, in_chain: bool):
-    """Direction context of an If's else branch.  A plain two-way
-    ``if direction == PUSH: ... else: ...`` classifies the else as the
-    opposite direction; the trailing else of a multi-way elif chain
-    (``if PULL ... elif PUSH ... else: <PA>``) is *neither*."""
-    if d is None:
-        return saved
-    if _is_direction_elif(node, d) or in_chain:
-        return None
-    return _opp(d)
+        super().visit_Call(node)
 
 
 def _ifexp_arms(expr: ast.AST) -> list[ast.AST]:
     if isinstance(expr, ast.IfExp):
         return _ifexp_arms(expr.body) + _ifexp_arms(expr.orelse)
     return [expr]
-
-
-def _resolve_fn(expr: ast.AST, scopes: list[dict]):
-    """FunctionDef (or Lambda) a body argument refers to, following
-    ``lambda: helper(...)`` trampolines and ``partial(helper, ...)``."""
-    if isinstance(expr, ast.Name):
-        for scope in reversed(scopes):
-            if expr.id in scope:
-                return scope[expr.id]
-        return None
-    if isinstance(expr, ast.Lambda):
-        if (isinstance(expr.body, ast.Call)
-                and isinstance(expr.body.func, ast.Name)):
-            return _resolve_fn(expr.body.func, scopes)
-        return expr
-    if (isinstance(expr, ast.Call) and _trailing(expr.func) == "partial"
-            and expr.args):
-        return _resolve_fn(expr.args[0], scopes)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +337,7 @@ _PROPAGATING_NP = {"unique", "concatenate", "repeat", "asarray", "sort",
                    "array", "setdiff1d", "intersect1d"}
 
 
-class _PhaseScan(ast.NodeVisitor):
+class _PhaseScan(BranchVisitor):
     """Abstract interpretation of one phase body: declared accesses with
     index provenance, direction branches, ownership guards, DM verbs."""
 
@@ -524,7 +352,6 @@ class _PhaseScan(ast.NodeVisitor):
         self.ownership_checked = False
         self.selections: dict[str, str] = {}
         self.called: set[str] = set()
-        self._ctx: str | None = None
         self._guard = 0
         self._items_prov = items_prov
 
@@ -668,25 +495,11 @@ class _PhaseScan(ast.NodeVisitor):
         return out
 
     # -- statements -----------------------------------------------------------
-    def visit_If(self, node: ast.If, in_chain: bool = False) -> None:
-        d = _direction_compared(node.test)
+    def visit_branch(self, node: ast.If) -> None:
         guard = self._is_ownership_guard(node.test)
-        saved = self._ctx
-        self.visit(node.test)
-        self._ctx = d or saved
-        if guard:
-            self._guard += 1
-        for stmt in node.body:
-            self.visit(stmt)
-        if guard:
-            self._guard -= 1
-        self._ctx = _else_ctx(node, d, saved, in_chain)
-        if _is_direction_elif(node, d):
-            self.visit_If(node.orelse[0], in_chain=True)
-        else:
-            for stmt in node.orelse:
-                self.visit(stmt)
-        self._ctx = saved
+        self._guard += guard
+        super().visit_branch(node)
+        self._guard -= guard
 
     def _is_ownership_guard(self, test: ast.AST) -> bool:
         for sub in ast.walk(test):
@@ -763,12 +576,12 @@ class _PhaseScan(ast.NodeVisitor):
         for arm in _ifexp_arms(expr):
             if isinstance(arm, ast.Subscript):        # slice_hs[t] lists
                 arm = arm.value
-            t = _trailing(arm)
+            t = trailing(arm)
             if isinstance(arm, ast.Constant) and isinstance(arm.value, str):
                 names.add(arm.value)
             elif isinstance(arm, ast.Attribute) and \
                     arm.attr in GRAPH_ARRAY_FIELDS:
-                base = _trailing(arm.value)
+                base = trailing(arm.value)
                 prefixes = self.mod.ga_vars.get(base or "", set())
                 if prefixes:
                     names.update(f"{p}.{GRAPH_ARRAY_FIELDS[arm.attr]}"
@@ -783,11 +596,8 @@ class _PhaseScan(ast.NodeVisitor):
         f = node.func
         if isinstance(f, ast.Attribute):
             recv = f.value
-            recv_name = _trailing(recv)
-            if f.attr in STORE_DECLS | {"read"} and node.args and (
-                    recv_name in ("mem", "memory")
-                    or (isinstance(recv, ast.Attribute)
-                        and recv.attr == "mem")):
+            if (f.attr in STORE_DECLS | {"read"} and node.args
+                    and mem_receiver(f)):
                 self._note_mem(node, f.attr)
             elif f.attr == "owned_write_check":
                 self.ownership_checked = True
@@ -812,7 +622,7 @@ class _PhaseScan(ast.NodeVisitor):
             bool(kw["batched"].value)
         self.ops.append({
             "verb": verb, "arrays": arrays, "index": prov,
-            "line": node.lineno, "ctx": self._ctx,
+            "line": node.lineno, "ctx": self.ctx,
             "guard": self._guard > 0, "batched": batched,
             "covers": tuple(covers),
         })
@@ -929,31 +739,20 @@ def _reach(entry_mod: _ModuleInfo, entry_fn: ast.AST,
                 if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     work.append((mod, stmt))
             continue
-        # nested defs belong to their enclosing function's kernel
-        for stmt in ast.walk(node):
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                    and stmt is not node and id(stmt) not in seen:
-                seen.add(id(stmt))
-        for callee in mod.calls_from_all(node):
+        # nested defs belong to their enclosing function's kernel, and
+        # so do the names they call
+        callees: set[str] = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                seen.add(id(sub))
+                callees.update(mod.calls_from.get(id(sub), ()))
+        for callee in callees:
             for cmod, cnode in table.get(callee, ()):
                 # same-module targets always qualify; cross-module ones
                 # only when the entry module imports the name
                 if cmod is mod or callee in mod.imports:
                     work.append((by_mod[id(cmod)], cnode))
     return seen
-
-
-def _calls_from_all(self: _ModuleInfo, fn: ast.AST) -> set[str]:
-    """Called names from ``fn`` including its nested defs."""
-    out: set[str] = set()
-    for node in ast.walk(fn):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            out.update(self.calls_from.get(id(node), ()))
-    out.update(self.calls_from.get(id(fn), ()))
-    return out
-
-
-_ModuleInfo.calls_from_all = _calls_from_all
 
 
 def _flat_write_set(mod: _ModuleInfo, fn: ast.AST) -> tuple[set, set]:
@@ -965,19 +764,13 @@ def _flat_write_set(mod: _ModuleInfo, fn: ast.AST) -> tuple[set, set]:
     body = getattr(fn, "body", None)
     if isinstance(body, list):
         # walk everything including nested defs: a flat over-approximation
-        class _All(ast.NodeVisitor):
-            def visit_Call(inner, node):     # noqa: N805
-                scan.visit_Call(node)
         for stmt in body:
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Call):
                     f = node.func
                     if isinstance(f, ast.Attribute):
-                        recv_name = _trailing(f.value)
-                        if f.attr in STORE_DECLS and node.args and (
-                                recv_name in ("mem", "memory")
-                                or (isinstance(f.value, ast.Attribute)
-                                    and f.value.attr == "mem")):
+                        if (f.attr in STORE_DECLS and node.args
+                                and mem_receiver(f)):
                             scan._note_mem(node, f.attr)
                         elif (isinstance(f.value, ast.Name)
                                 and f.value.id in RUNTIME_NAMES
@@ -989,7 +782,7 @@ def _flat_write_set(mod: _ModuleInfo, fn: ast.AST) -> tuple[set, set]:
     return mem_writes, win_writes
 
 
-def _expand_helpers(mod: _ModuleInfo, launch: _Launch, scan: _PhaseScan,
+def _expand_helpers(mod: _ModuleInfo, launch: Launch, scan: _PhaseScan,
                     body_fn, superstep: bool) -> None:
     """One-level helper expansion (the ANL005 convention): memory ops,
     verbs, and covers of plain functions the body calls join its
@@ -997,7 +790,7 @@ def _expand_helpers(mod: _ModuleInfo, launch: _Launch, scan: _PhaseScan,
     expansion completes the read/write/comm footprint (ANL104 soundness)
     but can never manufacture an ANL101/ANL102 by itself."""
     for name in sorted(scan.called):
-        fn = _resolve_fn(ast.Name(id=name), launch.scopes)
+        fn = resolve_fn(ast.Name(id=name), launch.scopes)
         if fn is None:
             fn = mod.top_funcs.get(name)
         if (fn is None or fn is body_fn or fn is launch.enclosing
@@ -1015,7 +808,7 @@ def _expand_helpers(mod: _ModuleInfo, launch: _Launch, scan: _PhaseScan,
             scan.comm.setdefault(key, []).extend(vals)
 
 
-def _phase_label(mod: _ModuleInfo, launch: _Launch, body_fn) -> str:
+def _phase_label(mod: _ModuleInfo, launch: Launch, body_fn) -> str:
     best = None
     for fn_id, line, label in mod.annotates:
         if fn_id == id(launch.enclosing) and line < launch.line:
@@ -1029,15 +822,9 @@ def _phase_label(mod: _ModuleInfo, launch: _Launch, body_fn) -> str:
     return f"L{launch.line}"
 
 
-def _phase_direction(mod: _ModuleInfo, launch: _Launch, body_fn,
-                     scan: _PhaseScan) -> tuple[str | None, str]:
-    if isinstance(body_fn, ast.Lambda):
-        chain = launch.chain
-        def_ctx = launch.ctx
-    else:
-        chain = mod.defs_chain.get(id(body_fn), (body_fn.name,))
-        def_ctx = mod.defs_ctx.get(id(body_fn)) or launch.ctx
-    declared = def_ctx or _name_direction(chain)
+def _inferred_direction(scan: _PhaseScan) -> str:
+    """push if the phase writes neighbor-indexed state, pull if it only
+    reads it, else local."""
     neighbor_writes = any(
         op["verb"] in {"write", "cas", "faa"} and op["index"] == NEIGHBOR
         for op in scan.ops)
@@ -1045,12 +832,8 @@ def _phase_direction(mod: _ModuleInfo, launch: _Launch, body_fn,
         op["verb"] == "read" and op["index"] == NEIGHBOR
         for op in scan.ops)
     if neighbor_writes:
-        inferred = "push"
-    elif neighbor_reads:
-        inferred = "pull"
-    else:
-        inferred = "local"
-    return declared, inferred
+        return "push"
+    return "pull" if neighbor_reads else "local"
 
 
 def _atomic_verdict(op: dict, hints: _Hints) -> str:
@@ -1069,11 +852,12 @@ def _rel(path: str) -> str:
     return p[i:] if i >= 0 else p
 
 
-def _scan_launch(mod: _ModuleInfo, launch: _Launch, kernel: str,
+def _scan_launch(mod: _ModuleInfo, launch: Launch, kernel: str,
                  findings: list[EffectFinding]) -> PhaseSignature | None:
-    body_fn = _resolve_fn(launch.body_expr, launch.scopes)
-    if body_fn is None:
+    body = mod.body_of(launch)
+    if body is None:
         return None
+    body_fn, qual, declared = body
     superstep = launch.method == "superstep"
     own_items = launch.by_owner or launch.method == "for_each_thread"
     items_prov = OWN if own_items else FRONTIER
@@ -1082,13 +866,8 @@ def _scan_launch(mod: _ModuleInfo, launch: _Launch, kernel: str,
         scan.seed_from(launch.enclosing, launch.line)
     scan.scan(body_fn)
     _expand_helpers(mod, launch, scan, body_fn, superstep)
-    declared, inferred = _phase_direction(mod, launch, body_fn, scan)
+    inferred = _inferred_direction(scan)
     label = _phase_label(mod, launch, body_fn)
-    if isinstance(body_fn, ast.Lambda):
-        qual = ".".join(reversed(launch.chain) or ("<module>",)) + ".<lambda>"
-    else:
-        qual = ".".join(reversed(mod.defs_chain.get(
-            id(body_fn), (body_fn.name,))))
     kind = ("superstep" if superstep
             else "sequential" if launch.method == "sequential"
             else "parallel")
@@ -1208,7 +987,7 @@ def _check_dm(mod: _ModuleInfo, scan: _PhaseScan, kernel: str, label: str,
 
 
 def _anl104(mod: _ModuleInfo, kernel: str,
-            phases: list[tuple[_Launch, PhaseSignature]],
+            phases: list[tuple[Launch, PhaseSignature]],
             findings: list[EffectFinding], allowlist: list[dict]) -> None:
     """Adjacent barrier-separated SM phases with disjoint effect sets."""
     per_fn: dict[int, list] = {}
@@ -1261,7 +1040,7 @@ def analyze_modules(mods: list[_ModuleInfo],
         reach = _reach(emod, efn, mods)
         keff = KernelEffects(name=kname, path=_rel(emod.path),
                              entry=efn_name)
-        kernel_phases: list[tuple[_Launch, PhaseSignature]] = []
+        kernel_phases: list[tuple[Launch, PhaseSignature]] = []
         phase_mods: dict[int, _ModuleInfo] = {}
         for mod, launch in by_mod_launch:
             if launch.enclosing is None or id(launch.enclosing) not in reach:

@@ -4,7 +4,7 @@ The instrumented-algorithm convention is that every mutation of shared
 state inside a parallel region is *declared* to the memory model, and
 that remote writes in push kernels go through the atomic/lock
 primitives (Section 3.8).  These properties are checkable from the AST
-without running anything; four rules are enforced:
+without running anything; six rules are enforced:
 
 ``ANL001`` (unaccounted-store)
     A parallel-region body stores into a shared array (subscript
@@ -52,8 +52,13 @@ without running anything; four rules are enforced:
 
 Direction classification is heuristic but matches the repo's idiom: a
 body (or an enclosing function) named ``*push*``/``*pull*``, or a body
-defined/storing under an ``if direction == PUSH:``-style branch.
-Unclassifiable bodies only get the direction-agnostic rules.
+defined/storing under an ``if direction == PUSH:``-style branch (see
+:class:`BranchVisitor` for ``if/elif/else`` chains).  Unclassifiable
+bodies only get the direction-agnostic rules.
+
+:class:`ModuleIndex` is the one module index of both static passes:
+these rules and effect inference (:mod:`repro.analysis.effects`) read
+its defs, launches, barriers and call edges.
 """
 
 from __future__ import annotations
@@ -90,8 +95,13 @@ class LintFinding:
         return f"{self.path}:{self.line}: {self.rule} [{self.func}] {self.message}"
 
 
-def _opposite(direction: str) -> str:
-    return "pull" if direction == "push" else "push"
+def trailing(expr: ast.AST) -> str | None:
+    """Last identifier of a Name / dotted-attribute expression."""
+    if isinstance(expr, ast.Name):
+        return expr.id
+    if isinstance(expr, ast.Attribute):
+        return expr.attr
+    return None
 
 
 def _direction_compared(test: ast.expr) -> str | None:
@@ -121,13 +131,7 @@ def _name_direction(chain: Iterable[str]) -> str | None:
 
 def _store_target(node: ast.AST) -> str | None:
     """Base array name of a subscript store target, if recognizable."""
-    if isinstance(node, ast.Subscript):
-        base = node.value
-        if isinstance(base, ast.Name):
-            return base.id
-        if isinstance(base, ast.Attribute):
-            return base.attr
-    return None
+    return trailing(node.value) if isinstance(node, ast.Subscript) else None
 
 
 def _scatter_target(call: ast.Call) -> str | None:
@@ -136,19 +140,59 @@ def _scatter_target(call: ast.Call) -> str | None:
     if (isinstance(f, ast.Attribute) and f.attr == "at"
             and isinstance(f.value, ast.Attribute)
             and f.value.attr in SCATTER_UFUNCS and call.args):
-        return _store_target_or_name(call.args[0])
+        return trailing(call.args[0])
     return None
 
 
-def _store_target_or_name(node: ast.AST) -> str | None:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
+def mem_receiver(f: ast.Attribute) -> bool:
+    """True for ``mem.<verb>`` / ``rt.mem.<verb>``-shaped receivers."""
+    return trailing(f.value) in MEMORY_NAMES
 
 
-class _BodyScan(ast.NodeVisitor):
+class BranchVisitor(ast.NodeVisitor):
+    """A visitor that knows the direction branch each statement sits
+    under: ``self.ctx`` is ``"push"``/``"pull"`` inside the body of an
+    ``if direction == PUSH:``-style test, else the enclosing context.
+
+    The trailing ``else`` of a direction chain (an ``if`` whose ``elif``
+    tests all compare the direction) takes the one direction no test in
+    the chain named, or ``None`` when both were named: ``if PULL / elif
+    PUSH / else`` is neither (PageRank's PUSH_PA arm), ``if PUSH / elif
+    PUSH_PA / else`` is pull.  A plain ``if/else`` is the one-test case.
+    Subclasses hook :meth:`visit_branch` to see each test with its body.
+    """
+
+    ctx: str | None = None
+
+    def visit_branch(self, node: ast.If) -> None:
+        for stmt in node.body:
+            self.visit(stmt)
+
+    def visit_If(self, node: ast.If) -> None:
+        saved, named = self.ctx, set()
+        while True:
+            d = _direction_compared(node.test)
+            self.visit(node.test)
+            self.ctx = d or saved
+            self.visit_branch(node)
+            self.ctx = saved
+            if d is None:
+                break
+            named.add(d)
+            tail = node.orelse
+            if not (len(tail) == 1 and isinstance(tail[0], ast.If)
+                    and _direction_compared(tail[0].test)):
+                break
+            node = tail[0]
+        if named:
+            rest = {"push", "pull"} - named
+            self.ctx = rest.pop() if len(rest) == 1 else None
+        for stmt in node.orelse:
+            self.visit(stmt)
+        self.ctx = saved
+
+
+class _BodyScan(BranchVisitor):
     """Collect stores/declarations/ownership-checks of one region body,
     each tagged with the direction branch it sits under (or None)."""
 
@@ -158,7 +202,6 @@ class _BodyScan(ast.NodeVisitor):
         self.ownership_checks: list[tuple] = []  # (line, ctx)
         self.local_names: set[str] = set()
         self.params: set[str] = set()
-        self._ctx: str | None = None
 
     def scan(self, fn: ast.AST, params: Iterable[str]) -> "_BodyScan":
         self.params.update(params)
@@ -168,19 +211,6 @@ class _BodyScan(ast.NodeVisitor):
         for stmt in body:
             self.visit(stmt)
         return self
-
-    # direction-branch context ------------------------------------------------
-    def visit_If(self, node: ast.If) -> None:
-        d = _direction_compared(node.test)
-        saved = self._ctx
-        self.visit(node.test)
-        self._ctx = d or saved
-        for stmt in node.body:
-            self.visit(stmt)
-        self._ctx = _opposite(d) if d else saved
-        for stmt in node.orelse:
-            self.visit(stmt)
-        self._ctx = saved
 
     # stores ------------------------------------------------------------------
     def _note_targets(self, targets: Iterable[ast.AST], line: int) -> None:
@@ -196,7 +226,7 @@ class _BodyScan(ast.NodeVisitor):
                 sl = tgt.slice if isinstance(tgt, ast.Subscript) else None
                 if isinstance(sl, ast.Name) and sl.id in self.params:
                     continue
-                self.stores.append((name, line, self._ctx))
+                self.stores.append((name, line, self.ctx))
             elif isinstance(tgt, ast.Name):
                 self.local_names.add(tgt.id)
 
@@ -226,13 +256,13 @@ class _BodyScan(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         scatter = _scatter_target(node)
         if scatter is not None:
-            self.stores.append((scatter, node.lineno, self._ctx))
+            self.stores.append((scatter, node.lineno, self.ctx))
         f = node.func
         if isinstance(f, ast.Attribute):
             if f.attr in STORE_DECLS:
-                self.decls.append((f.attr, node.lineno, self._ctx))
+                self.decls.append((f.attr, node.lineno, self.ctx))
             elif f.attr == "owned_write_check":
-                self.ownership_checks.append((node.lineno, self._ctx))
+                self.ownership_checks.append((node.lineno, self.ctx))
         elif isinstance(f, ast.Name) and f.id in ("rand_op", "seq_op"):
             # stream-op constructors (repro.streams.ops): the verb is
             # the first positional arg; a store verb declares the store
@@ -240,7 +270,7 @@ class _BodyScan(ast.NodeVisitor):
             if (node.args and isinstance(node.args[0], ast.Constant)
                     and node.args[0].value in STORE_DECLS):
                 self.decls.append((node.args[0].value, node.lineno,
-                                   self._ctx))
+                                   self.ctx))
         self.generic_visit(node)
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -252,14 +282,6 @@ class _BodyScan(ast.NodeVisitor):
     def shared_stores(self) -> list[tuple]:
         return [(n, ln, ctx) for n, ln, ctx in self.stores
                 if n not in self.local_names]
-
-
-def _mem_receiver(f: ast.Attribute) -> bool:
-    """True for ``mem.<verb>`` / ``rt.mem.<verb>``-shaped receivers."""
-    v = f.value
-    if isinstance(v, ast.Name) and v.id in MEMORY_NAMES:
-        return True
-    return isinstance(v, ast.Attribute) and v.attr in MEMORY_NAMES
 
 
 class _DirectStoreScan(ast.NodeVisitor):
@@ -278,7 +300,7 @@ class _DirectStoreScan(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         f = node.func
         if (isinstance(f, ast.Attribute) and f.attr in STORE_DECLS
-                and _mem_receiver(f)):
+                and mem_receiver(f)):
             self.stores.append((f.attr, node.lineno))
         self.generic_visit(node)
 
@@ -325,51 +347,89 @@ class _CommScan(ast.NodeVisitor):
 
 
 @dataclass
-class _RegionBody:
-    fn: ast.AST                  # FunctionDef or Lambda target
-    qualname: str
+class Launch:
+    """One region or superstep launch site."""
+
+    call: ast.Call
+    method: str                  # a REGION_METHODS key, or "superstep"
+    body_expr: ast.AST
+    enclosing: ast.AST | None    # innermost enclosing function
     chain: tuple                 # enclosing names, innermost first
-    def_ctx: str | None          # direction branch the def sits under
+    scopes: list[dict]           # name -> def, as bound at the launch
+    ctx: str | None              # direction branch at the call site
+    by_owner: bool
+    barrier: bool                # launch closes with a barrier
     line: int
 
 
-class _ModuleIndex(ast.NodeVisitor):
-    """First pass: function defs by scope, region launch sites, barriers."""
+def resolve_fn(expr: ast.AST, scopes: list[dict]):
+    """The FunctionDef (or Lambda) a body argument refers to in
+    ``scopes``, following ``lambda: helper(...)`` trampolines and
+    ``functools.partial(helper, ...)``; None if untraceable."""
+    if isinstance(expr, ast.Name):
+        return next((s[expr.id] for s in reversed(scopes) if expr.id in s),
+                    None)
+    if isinstance(expr, ast.Lambda):
+        call = expr.body
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name):
+            return resolve_fn(call.func, scopes) or expr
+        return expr
+    if (isinstance(expr, ast.Call) and trailing(expr.func) == "partial"
+            and expr.args):
+        return resolve_fn(expr.args[0], scopes)
+    return None
 
-    def __init__(self) -> None:
+
+class ModuleIndex(BranchVisitor):
+    """Single-pass module index: function defs by scope (each with its
+    qualname chain and the direction branch it sits under), region and
+    superstep launches, barrier lines, and call edges."""
+
+    def __init__(self, tree: ast.AST) -> None:
         self.scopes: list[dict] = [{}]
-        self.stack: list[tuple] = []          # (name, node)
-        self.ctx_stack: list[str | None] = [None]
+        self.stack: list[tuple] = []                    # (name, def or None)
         self.defs_ctx: dict[int, str | None] = {}
         self.defs_chain: dict[int, tuple] = {}
-        self.region_calls: list[tuple] = []   # (call, body_expr, enclosing, chain)
-        self.barrier_calls: dict[int, bool] = {}   # id(enclosing fn) -> True
-        self.barrier_false: list[tuple] = []  # (call node, enclosing fn, chain)
-        self.superstep_calls: list[tuple] = []  # (call, body_expr, chain, scopes)
-        self.all_funcs: list[ast.AST] = []    # every function def seen
-        self.calls_in: dict[int, set] = {}    # id(fn) -> local names it calls
+        self.funcs: list[ast.AST] = []
+        self.classes: dict[str, ast.ClassDef] = {}
+        self.methods: dict[str, list[ast.AST]] = {}
+        self.top_funcs: dict[str, ast.AST] = {}
+        self.launches: list[Launch] = []
+        self.barrier_lines: dict[int, list[int]] = {}   # id(fn) -> linenos
+        self.calls_from: dict[int, list] = {}           # id(fn) -> callees
+        self.visit(tree)
 
     def _enclosing(self):
-        return self.stack[-1][1] if self.stack else None
+        for _name, node in reversed(self.stack):
+            if node is not None:
+                return node
+        return None
+
+    def _chain(self) -> tuple:
+        return tuple(n for n, _ in reversed(self.stack))
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self.scopes[-1][node.name] = node
-        self.all_funcs.append(node)
-        self.defs_ctx[id(node)] = self.ctx_stack[-1]
-        chain = (node.name,) + tuple(n for n, _ in reversed(self.stack))
-        self.defs_chain[id(node)] = chain
+        self.funcs.append(node)
+        self.defs_ctx[id(node)] = self.ctx
+        self.defs_chain[id(node)] = (node.name,) + self._chain()
+        if not self.stack:
+            self.top_funcs[node.name] = node
+        elif self.stack[-1][1] is None:                 # class body
+            self.methods.setdefault(node.name, []).append(node)
+        saved, self.ctx = self.ctx, None
         self.stack.append((node.name, node))
         self.scopes.append({})
-        self.ctx_stack.append(None)
         for stmt in node.body:
             self.visit(stmt)
-        self.ctx_stack.pop()
         self.scopes.pop()
         self.stack.pop()
+        self.ctx = saved
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self.classes[node.name] = node
         self.stack.append((node.name, None))
         self.scopes.append({})
         for stmt in node.body:
@@ -377,75 +437,74 @@ class _ModuleIndex(ast.NodeVisitor):
         self.scopes.pop()
         self.stack.pop()
 
-    def visit_If(self, node: ast.If) -> None:
-        d = _direction_compared(node.test)
-        saved = self.ctx_stack[-1]
-        self.visit(node.test)
-        self.ctx_stack[-1] = d or saved
-        for stmt in node.body:
-            self.visit(stmt)
-        self.ctx_stack[-1] = _opposite(d) if d else saved
-        for stmt in node.orelse:
-            self.visit(stmt)
-        self.ctx_stack[-1] = saved
-
     def visit_Call(self, node: ast.Call) -> None:
+        enc = self._enclosing()
         f = node.func
-        if isinstance(f, ast.Name):
-            enc = self._enclosing()
-            if enc is not None:
-                self.calls_in.setdefault(id(enc), set()).add(f.id)
-        # functools.partial(helper, ...) makes the enclosing function a
-        # caller of ``helper`` even though ``helper`` is an argument, not
-        # the callee -- without this, a non-barriering partial-wrapping
-        # caller is invisible to ANL004's all-callers check
-        if (_callee_name(f) == "partial" and node.args
-                and isinstance(node.args[0], ast.Name)):
-            enc = self._enclosing()
-            if enc is not None:
-                self.calls_in.setdefault(id(enc), set()).add(
-                    node.args[0].id)
+        callee = trailing(f)
+        if enc is not None and callee is not None:
+            edges = self.calls_from.setdefault(id(enc), [])
+            edges.append(callee)
+            # functools.partial(helper, ...) makes the enclosing function
+            # a caller of ``helper`` even though ``helper`` is an argument
+            if (callee == "partial" and node.args
+                    and isinstance(node.args[0], ast.Name)):
+                edges.append(node.args[0].id)
         if isinstance(f, ast.Attribute):
-            if f.attr in REGION_METHODS:
-                pos = REGION_METHODS[f.attr]
-                body = None
-                for kw in node.keywords:
-                    if kw.arg == "body":
-                        body = kw.value
-                if body is None and len(node.args) > pos:
-                    body = node.args[pos]
-                chain = tuple(n for n, _ in reversed(self.stack))
-                if body is not None:
-                    self.region_calls.append(
-                        (node, body, self._enclosing(), chain,
-                         list(self.scopes), self.ctx_stack[-1]))
-                for kw in node.keywords:
-                    if (kw.arg == "barrier"
-                            and isinstance(kw.value, ast.Constant)
-                            and kw.value.value is False):
-                        self.barrier_false.append(
-                            (node, self._enclosing(), chain))
+            if f.attr in REGION_METHODS or f.attr == "superstep":
+                self._note_launch(node, f.attr, enc)
             elif f.attr == "barrier":
-                enc = self._enclosing()
-                self.barrier_calls[id(enc)] = True
-            elif f.attr == "superstep":
-                body = node.args[0] if node.args else None
-                for kw in node.keywords:
-                    if kw.arg == "body":
-                        body = kw.value
-                if body is not None:
-                    chain = tuple(n for n, _ in reversed(self.stack))
-                    self.superstep_calls.append(
-                        (node, body, chain, list(self.scopes)))
+                self.barrier_lines.setdefault(id(enc), []).append(node.lineno)
         self.generic_visit(node)
 
+    def _note_launch(self, node: ast.Call, method: str, enc) -> None:
+        pos = 0 if method == "superstep" else REGION_METHODS[method]
+        kw = {k.arg: k.value for k in node.keywords}
+        body = kw.get("body")
+        if body is None and len(node.args) > pos:
+            body = node.args[pos]
+        if body is None:
+            return
 
-def _callee_name(f: ast.AST) -> str | None:
-    if isinstance(f, ast.Name):
-        return f.id
-    if isinstance(f, ast.Attribute):
-        return f.attr
-    return None
+        def flag(name: str, default: bool) -> bool:
+            v = kw.get(name)
+            return bool(v.value) if isinstance(v, ast.Constant) else default
+
+        # snapshot the bindings as of this statement: a later def reusing
+        # the same body name (push/pull variants) must not shadow it
+        self.launches.append(Launch(
+            call=node, method=method, body_expr=body, enclosing=enc,
+            chain=self._chain(), scopes=[dict(s) for s in self.scopes],
+            ctx=self.ctx, by_owner=flag("by_owner", False),
+            barrier=flag("barrier", True), line=node.lineno))
+
+    def body_of(self, launch: Launch) -> tuple | None:
+        """``(fn, qualname, declared direction)`` of the body a launch
+        runs, or None when it cannot be resolved.  The direction is the
+        branch the def sits under (the launch's branch for a lambda or
+        an unbranched def), else a push/pull marker in the name chain."""
+        fn = resolve_fn(launch.body_expr, launch.scopes)
+        if fn is None:
+            return None
+        if isinstance(fn, ast.Lambda):
+            chain, ctx = launch.chain, launch.ctx
+            qual = ".".join(reversed(chain) or ("<module>",)) + ".<lambda>"
+        else:
+            chain = self.defs_chain[id(fn)]
+            ctx = self.defs_ctx[id(fn)] or launch.ctx
+            qual = ".".join(reversed(chain))
+        return fn, qual, ctx or _name_direction(chain)
+
+    def bodies(self, superstep: bool):
+        """``(launch, fn, qualname, direction)`` per distinct resolved
+        region (or superstep) body, first launch first."""
+        seen: set[int] = set()
+        for launch in self.launches:
+            if (launch.method == "superstep") != superstep:
+                continue
+            body = self.body_of(launch)
+            if body is not None and id(body[0]) not in seen:
+                seen.add(id(body[0]))
+                yield (launch, *body)
 
 
 def _body_name(body_expr: ast.AST) -> str | None:
@@ -458,32 +517,9 @@ def _body_name(body_expr: ast.AST) -> str | None:
             and isinstance(body_expr.body.func, ast.Name)):
         return body_expr.body.func.id
     if (isinstance(body_expr, ast.Call)
-            and _callee_name(body_expr.func) == "partial"
+            and trailing(body_expr.func) == "partial"
             and body_expr.args):
         return _body_name(body_expr.args[0])
-    return None
-
-
-def _resolve_body(body_expr: ast.AST, scopes: list[dict]):
-    """The FunctionDef a region's body argument refers to, if traceable."""
-    if isinstance(body_expr, ast.Name):
-        for scope in reversed(scopes):
-            if body_expr.id in scope:
-                return scope[body_expr.id]
-        return None
-    if isinstance(body_expr, ast.Lambda):
-        # unwrap `lambda: helper(...)` trampolines
-        if isinstance(body_expr.body, ast.Call) and \
-                isinstance(body_expr.body.func, ast.Name):
-            for scope in reversed(scopes):
-                if body_expr.body.func.id in scope:
-                    return scope[body_expr.body.func.id]
-        return body_expr
-    # unwrap `functools.partial(body_fn, ...)` region bodies
-    if (isinstance(body_expr, ast.Call)
-            and _callee_name(body_expr.func) == "partial"
-            and body_expr.args):
-        return _resolve_body(body_expr.args[0], scopes)
     return None
 
 
@@ -494,48 +530,33 @@ def lint_source(source: str, path: str = "<string>") -> list[LintFinding]:
     except SyntaxError as exc:
         return [LintFinding("ANL000", path, exc.lineno or 0, "<module>",
                             f"syntax error: {exc.msg}")]
-    index = _ModuleIndex()
-    index.visit(tree)
+    index = ModuleIndex(tree)
     findings: list[LintFinding] = []
 
     # ANL004: barrier=False with no barrier in the same function AND
     # none guaranteed by the callers (one-level caller expansion: a
     # helper running barrier-less regions is clean when every
     # module-local caller issues the closing .barrier() itself)
-    for call, enclosing, chain in index.barrier_false:
-        if index.barrier_calls.get(id(enclosing)):
+    for launch in index.launches:
+        enclosing = launch.enclosing
+        if (launch.method == "superstep" or launch.barrier
+                or id(enclosing) in index.barrier_lines):
             continue
         name = getattr(enclosing, "name", None)
-        callers = [g for g in index.all_funcs
+        callers = [g for g in index.funcs
                    if g is not enclosing and name is not None
-                   and name in index.calls_in.get(id(g), ())]
-        if callers and all(index.barrier_calls.get(id(g)) for g in callers):
+                   and name in index.calls_from.get(id(g), ())]
+        if callers and all(id(g) in index.barrier_lines for g in callers):
             continue
-        func = ".".join(reversed(chain)) or "<module>"
+        func = ".".join(reversed(launch.chain)) or "<module>"
         findings.append(LintFinding(
-            "ANL004", path, call.lineno, func,
+            "ANL004", path, launch.line, func,
             "region launched with barrier=False but neither the "
             "function nor all of its callers call .barrier(): "
             "accesses leak into the next epoch unsynchronized"))
 
-    seen_bodies: set[int] = set()
-    for call, body_expr, _enc, chain, scopes, call_ctx in index.region_calls:
-        fn = _resolve_body(body_expr, scopes)
-        if fn is None or id(fn) in seen_bodies:
-            continue
-        seen_bodies.add(id(fn))
-        if isinstance(fn, ast.Lambda):
-            qual = ".".join(reversed(chain) or ("<module>",)) + ".<lambda>"
-            name_chain = chain
-            def_ctx = call_ctx
-            params = [a.arg for a in fn.args.args]
-        else:
-            qual = ".".join(reversed(index.defs_chain.get(id(fn), (fn.name,))))
-            name_chain = index.defs_chain.get(id(fn), (fn.name,))
-            def_ctx = index.defs_ctx.get(id(fn)) or call_ctx
-            params = [a.arg for a in fn.args.args]
-        scan = _BodyScan().scan(fn, params)
-        direction = def_ctx or _name_direction(name_chain)
+    for _launch, fn, qual, direction in index.bodies(superstep=False):
+        scan = _BodyScan().scan(fn, [a.arg for a in fn.args.args])
         shared = scan.shared_stores()
 
         if shared and not scan.decls:
@@ -570,26 +591,14 @@ def lint_source(source: str, path: str = "<string>") -> list[LintFinding]:
                     "declare remote writes with atomics/locks instead"))
 
     # ANL005: untyped channels inside superstep bodies
-    seen_ss: set[int] = set()
-    for call, body_expr, chain, scopes in index.superstep_calls:
-        fn = _resolve_body(body_expr, scopes)
-        if fn is None or id(fn) in seen_ss:
-            continue
-        seen_ss.add(id(fn))
-        if isinstance(fn, ast.Lambda):
-            qual = ".".join(reversed(chain) or ("<module>",)) + ".<lambda>"
-        else:
-            qual = ".".join(reversed(index.defs_chain.get(id(fn), (fn.name,))))
+    for launch, fn, qual, _direction in index.bodies(superstep=True):
         scan = _CommScan().scan(fn)
         expanded: set[int] = {id(fn)}
         for helper in scan.helper_calls:
-            for scope in reversed(scopes):
-                if helper in scope:
-                    h = scope[helper]
-                    if id(h) not in expanded:
-                        expanded.add(id(h))
-                        scan.scan(h)
-                    break
+            h = resolve_fn(ast.Name(id=helper), launch.scopes)
+            if h is not None and id(h) not in expanded:
+                expanded.add(id(h))
+                scan.scan(h)
         for verb, ln, missing in scan.violations:
             what = ("messages cannot be matched by inbox(tag) and evade "
                     "the epoch checker's channel discipline"
@@ -608,42 +617,35 @@ def lint_source(source: str, path: str = "<string>") -> list[LintFinding]:
     # function called from one (one-level helper expansion).
     covered: set[int] = set()
     body_names: set[str] = set()
-    for _call, body_expr, _enc, _chain, scopes, _ctx in index.region_calls:
-        fn = _resolve_body(body_expr, scopes)
+    for launch in index.launches:
+        fn = resolve_fn(launch.body_expr, launch.scopes)
         if fn is not None:
             covered.add(id(fn))
-        name = _body_name(body_expr)
-        if name is not None:
-            body_names.add(name)
-    for _call, body_expr, _chain, scopes in index.superstep_calls:
-        fn = _resolve_body(body_expr, scopes)
-        if fn is not None:
-            covered.add(id(fn))
-        name = _body_name(body_expr)
+        name = _body_name(launch.body_expr)
         if name is not None:
             body_names.add(name)
     by_name: dict[str, list[int]] = {}
-    for fn in index.all_funcs:
+    for fn in index.funcs:
         by_name.setdefault(fn.name, []).append(id(fn))
-    # name-based coverage: the if/else two-branch idiom defines ``body``
-    # once per direction branch in the *same* scope, so scope capture
-    # only resolves the later def -- every same-named def is a region
-    # body somewhere, which is exactly what this rule needs
+    # name-based coverage: the idiom that defines ``body`` once per
+    # direction branch and launches it once after both defs resolves
+    # only the later def -- every same-named def is a region body
+    # somewhere, which is exactly what this rule needs
     for name in body_names:
         covered.update(by_name.get(name, ()))
     helper_ids: set[int] = set()
-    for fn in index.all_funcs:
+    for fn in index.funcs:
         if id(fn) in covered:
-            for callee in index.calls_in.get(id(fn), ()):
+            for callee in index.calls_from.get(id(fn), ()):
                 helper_ids.update(by_name.get(callee, ()))
     covered |= helper_ids
-    for fn in index.all_funcs:
+    for fn in index.funcs:
         if id(fn) in covered:
             continue
         stores = _DirectStoreScan().scan(fn).stores
         if not stores:
             continue
-        qual = ".".join(reversed(index.defs_chain.get(id(fn), (fn.name,))))
+        qual = ".".join(reversed(index.defs_chain[id(fn)]))
         verbs = sorted({v for v, _ in stores})
         findings.append(LintFinding(
             "ANL006", path, stores[0][1], qual,

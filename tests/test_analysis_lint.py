@@ -4,9 +4,12 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.lint import lint_file, lint_paths, lint_source
 
-ALGORITHMS_DIR = Path(__file__).parent.parent / "src" / "repro" / "algorithms"
+PACKAGE_DIR = Path(__file__).parent.parent / "src" / "repro"
+ALGORITHMS_DIR = PACKAGE_DIR / "algorithms"
 FIXTURE = Path(__file__).parent / "fixtures" / "bad_push_kernel.py"
 
 
@@ -14,9 +17,79 @@ def _rules(findings):
     return {f.rule for f in findings}
 
 
+#: the three direction-chain shapes the lint and effect passes once
+#: classified differently; each hides a raw push store (ANL002)
+DIRECTION_BRANCH_SHAPES = {
+    # stores under `if direction == PUSH:` are push even in a
+    # neutrally-named body
+    "if-else": """
+def kernel(rt, mem, h, val, direction):
+    def body(t, vs):
+        if direction == PUSH:
+            val[vs + 1] = 1
+            mem.write(h, idx=vs + 1, mode="rand")
+        else:
+            val[vs] = 1
+            mem.write(h, idx=vs, mode="rand")
+    rt.for_each_thread(body)
+""",
+    # each launch runs the `body` bound at its own statement, not the
+    # last def of that name in the scope
+    "same-named-bodies": """
+def kernel(rt, mem, h, val, direction):
+    if direction == PUSH:
+        def body(t, vs):
+            val[vs + 1] = 1
+            mem.write(h, idx=vs + 1, mode="rand")
+        rt.for_each_thread(body)
+    else:
+        def body(t, vs):
+            val[vs] = 1
+            mem.write(h, idx=vs, mode="rand")
+        rt.for_each_thread(body)
+""",
+    # PageRank's shape: both directions named, so the trailing else is
+    # neither and the body's name classifies it
+    "if-pull-elif-push-else": """
+def kernel(rt, mem, h, acc, direction):
+    if direction == PULL:
+        def pull_body(t, vs):
+            mem.read(h, idx=vs)
+        rt.for_each_thread(pull_body)
+    elif direction == PUSH:
+        def push_body(t, vs):
+            mem.cas(h, idx=vs + 1, mode="rand")
+        rt.for_each_thread(push_body)
+    else:
+        def push_pa_body(t, vs):
+            acc[vs + 1] += 1.0
+            mem.write(h, idx=vs + 1, mode="rand")
+        rt.for_each_thread(push_pa_body)
+""",
+    # triangle counting's shape: only push was named, so the trailing
+    # else is pull and its cas cannot cover the push stores
+    "if-push-elif-push-pa-else": """
+def kernel(rt, mem, h, tc, direction):
+    def body(t, vs):
+        for v in vs:
+            u = v + 1
+            if direction == PUSH:
+                tc[u] += 1
+                mem.write(h, idx=u, mode="rand")
+            elif direction == PUSH_PA:
+                tc[u] += 1
+                mem.write(h, idx=u, mode="rand")
+            else:
+                mem.cas(h, idx=v, mode="rand")
+    rt.for_each_thread(body)
+""",
+}
+
+
 class TestShippedKernels:
-    def test_algorithms_package_is_clean(self):
-        findings = lint_paths([ALGORITHMS_DIR])
+    @pytest.mark.parametrize("package", ["algorithms", "strategies"])
+    def test_algorithms_package_is_clean(self, package):
+        findings = lint_paths([PACKAGE_DIR / package])
         assert findings == [], "\n".join(str(f) for f in findings)
 
     def test_broken_fixture_is_flagged(self):
@@ -101,21 +174,9 @@ def kernel(rt, mem, h, level):
 """
         assert lint_source(src) == []
 
-    def test_direction_branch_classification(self):
-        """Stores under `if direction == PUSH:` are push even in a
-        neutrally-named body."""
-        src = """
-def kernel(rt, mem, h, val, direction):
-    def body(t, vs):
-        if direction == PUSH:
-            val[vs + 1] = 1
-            mem.write(h, idx=vs + 1, mode="rand")
-        else:
-            val[vs] = 1
-            mem.write(h, idx=vs, mode="rand")
-    rt.for_each_thread(body)
-"""
-        findings = lint_source(src)
+    @pytest.mark.parametrize("shape", DIRECTION_BRANCH_SHAPES)
+    def test_direction_branch_classification(self, shape):
+        findings = lint_source(DIRECTION_BRANCH_SHAPES[shape])
         assert _rules(findings) == {"ANL002"}
 
     def test_anl003_ownership_check_in_push(self):

@@ -15,6 +15,7 @@ exporter edge cases (empty traces, zero-duration spans).
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.kernels import DIRECTIONS, KERNELS
+from repro.kernels import DIRECTIONS, EFFECT_ENTRIES, KERNELS
 from repro.observability import (
     SCHEMA, chrome_trace, metrics_rollup, to_jsonl_lines, write_outputs,
 )
@@ -80,6 +81,16 @@ TABLE_CELLS = (
     + [(k.name, v, True) for k in KERNELS if k.dm for v in k.dm_variants
        if (k.name, v) != ("pagerank", "mp")])
 
+#: the effect-only SM entries (EFFECT_ENTRIES beyond the table rows),
+#: each with the arguments it needs; weighted BC takes 4 sources, as
+#: the BC row does
+EFFECT_ONLY_CELLS = {
+    "bc_weighted": {"sources": 4},
+    "bc_approx": {"vertex": 0},
+    "frontier_exploit_coloring": {},
+    "conflict_removal_coloring": {},
+}
+
 
 class TestReconciliation:
     """Σ region/superstep deltas + barrier events == run totals, exactly."""
@@ -87,6 +98,27 @@ class TestReconciliation:
     @pytest.mark.parametrize("algorithm,variant,dm", TABLE_CELLS)
     def test_every_table_row_traces_clean(self, algorithm, variant, dm):
         tracer = _trace(algorithm, variant=variant, dm=dm)
+        traced, actual = tracer.reconcile()
+        assert traced.to_dict() == actual.to_dict(), "counter reconciliation"
+        assert tracer.critical_totals()["reconciled"], "time decomposition"
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    @pytest.mark.parametrize("entry", EFFECT_ONLY_CELLS)
+    def test_effect_only_entries_trace_clean(self, entry, direction):
+        from repro.analysis.runner import instance_graph
+        from repro.observability.hwcounters import equip_cache_sim
+        from repro.observability.tracer import attach_tracer
+        from repro.runtime.sm import SMRuntime
+
+        module, _, fn = EFFECT_ENTRIES[entry].partition(":")
+        kernel = getattr(importlib.import_module(f"repro.{module}"), fn)
+        # equipped as run_traced equips a table row
+        g = instance_graph("er", 96, d_bar=4.0, seed=7,
+                           weighted=entry == "bc_weighted")
+        rt = SMRuntime(g, 4)
+        equip_cache_sim(rt)
+        tracer = attach_tracer(rt, graph=g)
+        kernel(g, rt, direction=direction, **EFFECT_ONLY_CELLS[entry])
         traced, actual = tracer.reconcile()
         assert traced.to_dict() == actual.to_dict(), "counter reconciliation"
         assert tracer.critical_totals()["reconciled"], "time decomposition"
