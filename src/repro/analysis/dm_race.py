@@ -61,9 +61,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.race import (
-    MAX_RACES, EpochStats, Race, RaceError, RaceReport, _as_index_array,
+    MAX_RACES, EpochStats, Race, RaceError, RaceReport,
 )
-from repro.machine.memory import ArrayHandle
+from repro.machine.memory import MemoryProxy, as_index_array
 
 
 @dataclass
@@ -81,7 +81,7 @@ class _RmaOp:
     flushed: bool = field(default=False, compare=False)
 
 
-class DMRaceDetector:
+class DMRaceDetector(MemoryProxy):
     """Records every DM communication event and checks the epoch rules.
 
     One object plays two roles: it proxies ``rt.mem`` (so local reads
@@ -93,8 +93,8 @@ class DMRaceDetector:
     """
 
     def __init__(self, rt, raise_on_race: bool = False) -> None:
+        super().__init__(rt.mem)
         self.rt = rt
-        self.inner = rt.mem
         self.part = rt.part
         self.raise_on_race = raise_on_race
         self.races: list[Race] = []
@@ -108,26 +108,11 @@ class DMRaceDetector:
         self._epoch_ops: list[_RmaOp] = []    # every put/acc this epoch
         # window -> rank -> list of owned index arrays plain-written
         self._epoch_writes: dict[str, dict[int, list]] = {}
-        self._handles: dict[str, ArrayHandle] = {}
         self._emitted: set[tuple] = set()
         self._totals = RaceReport()
         self._stats = EpochStats(epoch=0)
 
-    # -- delegated memory surface --------------------------------------------------
-    @property
-    def arrays(self) -> dict:
-        return self.inner.arrays
-
-    @property
-    def counters(self):
-        return self.inner.counters
-
-    def register(self, name: str, array_or_size, itemsize: int | None = None
-                 ) -> ArrayHandle:
-        handle = self.inner.register(name, array_or_size, itemsize)
-        self._handles[handle.name] = handle
-        return handle
-
+    # -- observed memory verbs -------------------------------------------------------
     def read(self, handle, idx=None, count=None, mode="seq", start=None) -> None:
         self._note_read(handle, idx, count, start)
         self.inner.read(handle, idx=idx, count=count, mode=mode, start=start)
@@ -135,10 +120,6 @@ class DMRaceDetector:
     def write(self, handle, idx=None, count=None, mode="seq", start=None) -> None:
         self._note_write(handle, idx, count, start)
         self.inner.write(handle, idx=idx, count=count, mode=mode, start=start)
-
-    def __getattr__(self, name):
-        # branch_cond / flop / set_counters / faa / ... -- pure delegation
-        return getattr(self.inner, name)
 
     # -- observer hooks (DMRuntime) ------------------------------------------------
     def on_activate(self, p: int) -> None:
@@ -168,7 +149,7 @@ class DMRaceDetector:
                dtype) -> None:
         self._seq += 1
         name = self._window_name(window)
-        gidx = _as_index_array(idx) if idx is not None else None
+        gidx = as_index_array(idx) if idx is not None else None
         if kind == "get":
             if name is None:
                 self.unattributed_ops += 1
@@ -225,7 +206,7 @@ class DMRaceDetector:
 
     def _global_indices(self, rank: int, idx, count, start) -> np.ndarray:
         if idx is not None:
-            return _as_index_array(idx)
+            return as_index_array(idx)
         if start is not None and count:
             return np.arange(int(start), int(start) + int(count),
                              dtype=np.int64)

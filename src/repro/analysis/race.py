@@ -51,7 +51,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.partition import Partition1D
-from repro.machine.memory import ArrayHandle, MemoryModel
+from repro.machine.memory import (
+    ArrayHandle, MemoryModel, MemoryProxy, as_index_array,
+)
 
 #: cap on stored Race records (detection keeps running; the flag count
 #: in RaceReport.total_racy_addresses stays exact)
@@ -155,13 +157,7 @@ class _ThreadEpochLog:
         return self._gather(self.a_idx, [])
 
 
-def _as_index_array(idx) -> np.ndarray:
-    if np.isscalar(idx):
-        return np.array([int(idx)], dtype=np.int64)
-    return np.asarray(idx, dtype=np.int64).ravel()
-
-
-class RaceDetectingMemory:
+class RaceDetectingMemory(MemoryProxy):
     """A recording proxy in front of any :class:`MemoryModel`.
 
     All event/cache accounting is delegated untouched to the wrapped
@@ -200,7 +196,7 @@ class RaceDetectingMemory:
                  raise_on_race: bool = False,
                  track_read_conflicts: bool = False,
                  strict_covers: bool = False) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.part = part
         self.raise_on_race = raise_on_race
         self.track_read_conflicts = track_read_conflicts
@@ -209,8 +205,7 @@ class RaceDetectingMemory:
         self.per_epoch: list[EpochStats] = []
         self.epoch = 0
         self.unattributed_writes = 0   #: in-region writes with unknown position
-        self._thread = 0
-        self._in_region = False
+        #: every handle the log names (for the ownership exemption)
         self._handles: dict[str, ArrayHandle] = {}
         # (handle name, thread) -> _ThreadEpochLog
         self._log: dict[tuple, _ThreadEpochLog] = {}
@@ -222,51 +217,7 @@ class RaceDetectingMemory:
         self._explicit: dict[int, dict[str, list]] = {}
         self._totals = RaceReport()
 
-    # -- delegated surface ---------------------------------------------------------
-    @property
-    def arrays(self) -> dict:
-        return self.inner.arrays
-
-    @property
-    def counters(self):
-        return self.inner.counters
-
-    def register(self, name: str, array_or_size, itemsize: int | None = None
-                 ) -> ArrayHandle:
-        handle = self.inner.register(name, array_or_size, itemsize)
-        self._handles[handle.name] = handle
-        return handle
-
-    def set_counters(self, counters) -> None:
-        self.inner.set_counters(counters)
-
-    def branch_cond(self, n: int = 1) -> None:
-        self.inner.branch_cond(n)
-
-    def branch_uncond(self, n: int = 1) -> None:
-        self.inner.branch_uncond(n)
-
-    def flop(self, n: int = 1) -> None:
-        self.inner.flop(n)
-
     # -- runtime hooks -------------------------------------------------------------
-    def set_thread(self, tid: int) -> None:
-        self._thread = tid
-        # CacheSimMemory needs its clamped private-cache id
-        n_threads = getattr(self.inner, "n_threads", None)
-        if n_threads is not None:
-            self.inner.set_thread(min(tid, n_threads - 1))
-        else:
-            self.inner.set_thread(tid)
-
-    def region_begin(self) -> None:
-        self._in_region = True
-        self.inner.region_begin()
-
-    def region_end(self) -> None:
-        self._in_region = False
-        self.inner.region_end()
-
     def on_barrier(self) -> None:
         self.inner.on_barrier()
         self._close_epoch()
@@ -274,7 +225,7 @@ class RaceDetectingMemory:
     # -- recorded accesses ---------------------------------------------------------
     def _entry(self, handle: ArrayHandle) -> _ThreadEpochLog:
         self._handles.setdefault(handle.name, handle)
-        key = (handle.name, self._thread)
+        key = (handle.name, self.thread)
         log = self._log.get(key)
         if log is None:
             log = self._log[key] = _ThreadEpochLog()
@@ -282,11 +233,11 @@ class RaceDetectingMemory:
 
     def _record(self, slot: str, handle: ArrayHandle, idx, count,
                 start) -> None:
-        if not self._in_region:
+        if not self.in_region:
             return
         log = self._entry(handle)
         if idx is not None:
-            getattr(log, slot + "_idx").append(_as_index_array(idx))
+            getattr(log, slot + "_idx").append(as_index_array(idx))
         elif start is not None and count:
             getattr(log, slot + "_rng").append((int(start), int(count)))
         elif slot == "w" and count:
@@ -298,21 +249,20 @@ class RaceDetectingMemory:
         """Record ``covers=`` declarations as protected indices."""
         if not pairs:
             return
-        shield = self._shield.setdefault(self._thread, {})
-        explicit = self._explicit.setdefault(self._thread, {})
+        shield = self._shield.setdefault(self.thread, {})
+        explicit = self._explicit.setdefault(self.thread, {})
         for handle, idx in pairs:
             if idx is None:
                 continue
-            arr = _as_index_array(idx)
+            arr = as_index_array(idx)
             shield.setdefault(handle.name, []).append(arr)
             explicit.setdefault(handle.name, []).append(arr)
-            self._handles.setdefault(handle.name, handle)
 
     def _self_cover(self, handle: ArrayHandle, idx) -> None:
         if idx is None:
             return
-        shield = self._shield.setdefault(self._thread, {})
-        shield.setdefault(handle.name, []).append(_as_index_array(idx))
+        shield = self._shield.setdefault(self.thread, {})
+        shield.setdefault(handle.name, []).append(as_index_array(idx))
 
     def read(self, handle, idx=None, count=None, mode="seq", start=None) -> None:
         self._record("r", handle, idx, count, start)
@@ -324,28 +274,29 @@ class RaceDetectingMemory:
 
     def faa(self, handle, idx=None, count=None, mode="rand", start=None,
             batched=False, covers=None) -> None:
-        if self._in_region and idx is not None:
-            self._entry(handle).a_idx.append(_as_index_array(idx))
+        if self.in_region and idx is not None:
+            self._entry(handle).a_idx.append(as_index_array(idx))
             self._cover(covers)
         self.inner.faa(handle, idx=idx, count=count, mode=mode, start=start,
-                       batched=batched)
+                       batched=batched, covers=covers)
 
     def cas(self, handle, idx=None, count=None, successes=None, mode="rand",
             start=None, batched=False, covers=None) -> None:
-        if self._in_region and idx is not None:
-            self._entry(handle).a_idx.append(_as_index_array(idx))
+        if self.in_region and idx is not None:
+            self._entry(handle).a_idx.append(as_index_array(idx))
             self._cover(covers)
         self.inner.cas(handle, idx=idx, count=count, successes=successes,
-                       mode=mode, start=start, batched=batched)
+                       mode=mode, start=start, batched=batched, covers=covers)
 
     def lock(self, handle, idx=None, count=None, mode="rand", start=None,
              covers=None) -> None:
         # the lock's R+W hit the lock word, not the data: record only
         # the protection it grants (its own indices plus covers)
-        if self._in_region:
+        if self.in_region:
             self._self_cover(handle, idx)
             self._cover(covers)
-        self.inner.lock(handle, idx=idx, count=count, mode=mode, start=start)
+        self.inner.lock(handle, idx=idx, count=count, mode=mode, start=start,
+                        covers=covers)
 
     # -- epoch analysis ------------------------------------------------------------
     def _close_epoch(self) -> None:

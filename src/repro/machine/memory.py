@@ -13,6 +13,10 @@ arrays for its actual state, and *reports* each access to a
   space) addresses.  Used to regenerate the Table-1 hardware-counter
   study.
 
+Dynamic analyses (race detectors, the SM fault proxy, the footprint
+recorder) wrap either model in a :class:`MemoryProxy` subclass that
+observes some verbs and forwards everything else.
+
 Accesses carry an access-pattern annotation: ``seq`` for streaming
 scans of contiguous data (adjacency arrays, owned vertex ranges) and
 ``rand`` for data-dependent indexed access (neighbor state lookups).
@@ -54,6 +58,16 @@ class ArrayHandle:
     def addr(self, idx) -> np.ndarray:
         """Byte addresses for item indices (scalar or array)."""
         return self.base + np.asarray(idx, dtype=np.int64) * self.itemsize
+
+
+def handle_name(handle) -> str:
+    """The registered name behind a handle (a plain name passes through)."""
+    return str(getattr(handle, "name", handle))
+
+
+def as_index_array(idx) -> np.ndarray:
+    """Item indices, scalar or array-like, as a flat int64 array."""
+    return np.asarray(idx, dtype=np.int64).ravel()
 
 
 def _count(idx, count) -> int:
@@ -107,11 +121,12 @@ class MemoryModel:
         self.counters = counters
 
     # -- runtime hooks (no-ops here) ----------------------------------------------
-    # The SM runtime narrates its execution structure to the memory
-    # model: which simulated thread is issuing accesses, when a parallel
-    # region starts/ends, and when a barrier retires.  The counting
-    # models ignore all of it (CacheSimMemory overrides set_thread for
-    # its private caches); repro.analysis.RaceDetectingMemory uses the
+    # The runtimes narrate their execution structure to the memory
+    # model: which simulated thread (or DM rank) is issuing accesses,
+    # when a parallel region starts/ends, and when a barrier retires.
+    # The counting models ignore all of it; CacheSimMemory maps the id
+    # onto its private-cache lanes.  MemoryProxy records the thread and
+    # region state for its subclasses, and the race detector uses the
     # full protocol to delimit conflict epochs.
 
     def set_thread(self, tid: int) -> None:
@@ -384,7 +399,8 @@ class CacheSimMemory(MemoryModel):
     *processes* on separate nodes, each with its own socket-private L3.
     The runtime must call :meth:`set_thread` alongside
     :meth:`set_counters` so misses are simulated in the right private
-    caches and *attributed* to the right thread's counters.
+    caches and *attributed* to the right thread's counters; thread ids
+    past the last lane share it.
     """
 
     def __init__(self, hierarchy: CacheHierarchySpec | None = None,
@@ -402,7 +418,7 @@ class CacheSimMemory(MemoryModel):
         self._thread = 0
 
     def set_thread(self, tid: int) -> None:
-        self._thread = tid
+        self._thread = min(tid, self.n_threads - 1)
 
     def access_batch(self, addrs: np.ndarray) -> None:
         """Feed one merged, ordered byte-address batch to the current
@@ -443,3 +459,41 @@ class CacheSimMemory(MemoryModel):
         c.l2_misses += sim.l2.misses - b2
         c.l3_misses += sim.l3.misses - b3
         c.tlb_d_misses += sim.tlb.misses - bt
+
+
+class MemoryProxy:
+    """A wrapper in front of a :class:`MemoryModel` (or another proxy).
+
+    Every attribute a subclass does not define is looked up on
+    ``inner``: registration, counters, branch/flop events, the barrier
+    hook, and every verb with all of its keywords (``covers=``
+    included) forward untouched, so accounting is identical with or
+    without the wrapper.  A subclass overrides only the verbs it
+    observes, and forwards each to ``inner`` itself.  The proxy records
+    the issuing ``thread`` and whether a parallel region is open
+    (``in_region``) from the runtime hooks.
+
+    A proxy is not one of the exact model types the batched stream
+    engine consumes in bulk, so streams replayed through it are lowered
+    to the interpreter's element-wise calls (:mod:`repro.streams.memory`).
+    """
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.thread = 0
+        self.in_region = False
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def set_thread(self, tid: int) -> None:
+        self.thread = tid
+        self.inner.set_thread(tid)
+
+    def region_begin(self) -> None:
+        self.in_region = True
+        self.inner.region_begin()
+
+    def region_end(self) -> None:
+        self.in_region = False
+        self.inner.region_end()

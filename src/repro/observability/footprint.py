@@ -3,13 +3,13 @@
 The effect-inference pass (:mod:`repro.analysis.effects`) claims, per
 kernel, the set of registered arrays the kernel may write.  This module
 checks that claim against reality, in the spirit of
-``Tracer.reconcile``: a :class:`FootprintRecorder` wraps the runtime's
-declared store verbs (``mem.write`` / ``cas`` / ``faa`` / ``lock``,
-plus the DM data-carrying RMA verbs ``rt.put`` / ``rt.accumulate``) and
-collects every array name actually written during a traced run.  The
-static write set must be a **superset** of the dynamic one -- static
-analysis may over-approximate (an IfExp handle resolves to both arms)
-but may never miss a write.
+``Tracer.reconcile``: a :class:`FootprintRecorder` observes the
+runtime's declared store verbs (``mem.write`` / ``cas`` / ``faa`` /
+``lock`` through a memory proxy, plus the DM data-carrying RMA verbs
+``rt.put`` / ``rt.accumulate``) and collects every array name actually
+written during a traced run.  The static write set must be a
+**superset** of the dynamic one -- static analysis may over-approximate
+(an IfExp handle resolves to both arms) but may never miss a write.
 
 Installed through ``run_traced(..., attach=recorder.install)``.
 """
@@ -19,10 +19,36 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.kernels import BY_NAME, DIRECTIONS, KERNELS
+from repro.machine.memory import MemoryProxy, handle_name
 
 
-def _handle_name(handle) -> str:
-    return str(getattr(handle, "name", handle))
+class _FootprintMemory(MemoryProxy):
+    """Adds the handle of every store verb, and of its ``covers=``
+    companions, to ``written``; forwards everything to ``inner``."""
+
+    def __init__(self, inner, written: set[str]) -> None:
+        super().__init__(inner)
+        self.written = written
+
+    def _stored(self, handle, covers=None) -> None:
+        self.written.add(handle_name(handle))
+        self.written.update(handle_name(h) for h, _ in covers or ())
+
+    def write(self, handle, *args, **kwargs) -> None:
+        self._stored(handle)
+        self.inner.write(handle, *args, **kwargs)
+
+    def faa(self, handle, *args, covers=None, **kwargs) -> None:
+        self._stored(handle, covers)
+        self.inner.faa(handle, *args, covers=covers, **kwargs)
+
+    def cas(self, handle, *args, covers=None, **kwargs) -> None:
+        self._stored(handle, covers)
+        self.inner.cas(handle, *args, covers=covers, **kwargs)
+
+    def lock(self, handle, *args, covers=None, **kwargs) -> None:
+        self._stored(handle, covers)
+        self.inner.lock(handle, *args, covers=covers, **kwargs)
 
 
 class FootprintRecorder:
@@ -33,40 +59,12 @@ class FootprintRecorder:
         self.windows: set[str] = set()
 
     def install(self, rt) -> None:
-        """Wrap the runtime's store verbs in place (instance attributes
+        """Wrap ``rt.mem`` in a recording proxy (which also puts the
+        batched engine on its element-wise lowering), and the DM
+        runtime's data-carrying RMA verbs in place (instance attributes
         shadow the bound methods; the originals are closed over)."""
-        mem = rt.mem
+        rt.mem = _FootprintMemory(rt.mem, self.written)
         recorder = self
-
-        for verb in ("write", "cas", "faa", "lock"):
-            orig = getattr(mem, verb)
-
-            def wrapped(handle, *args, _orig=orig, **kwargs):
-                recorder.written.add(_handle_name(handle))
-                for pair in (kwargs.get("covers") or ()):
-                    try:
-                        recorder.written.add(_handle_name(pair[0]))
-                    except (TypeError, IndexError):
-                        pass
-                return _orig(handle, *args, **kwargs)
-
-            setattr(mem, verb, wrapped)
-
-        # the batched engine's fast paths (CountingMemory /
-        # CacheSimMemory) never call the per-element verbs above;
-        # StreamMemory.replay announces every op batch through this
-        # hook before consuming it, so the footprint stays complete
-        def on_stream_replay(ops):
-            for op in ops:
-                if op.verb in ("write", "cas", "faa", "lock"):
-                    recorder.written.add(_handle_name(op.handle))
-                    for pair in (op.covers or ()):
-                        try:
-                            recorder.written.add(_handle_name(pair[0]))
-                        except (TypeError, IndexError):
-                            pass
-
-        mem.on_stream_replay = on_stream_replay
 
         for verb in ("put", "accumulate"):
             orig = getattr(rt, verb, None)
@@ -76,7 +74,7 @@ class FootprintRecorder:
             def wrapped_rma(owner, vals, *args, _orig=orig, **kwargs):
                 win = kwargs.get("window")
                 if win is not None:
-                    recorder.windows.add(_handle_name(win))
+                    recorder.windows.add(handle_name(win))
                 return _orig(owner, vals, *args, **kwargs)
 
             setattr(rt, verb, wrapped_rma)
@@ -120,12 +118,11 @@ def reconcile_effects(report=None, n: int = 96, P: int = 4,
     recorder and check each kernel's static write set covers what was
     dynamically written.
 
-    Runs with ``cache_scale=0``: the recorder's verb wrappers are plain
-    instance attributes, and flat counting memory keeps the run cheap.
-    ``engine="batched"`` reconciles the stream kernels instead: each
-    batched kernel must stay inside the write set its interpreted twin
-    declares (the stream replays are observed through the recorder's
-    ``on_stream_replay`` hook).
+    Runs with ``cache_scale=0``: flat counting memory keeps the run
+    cheap.  ``engine="batched"`` reconciles the stream kernels instead:
+    each batched kernel must stay inside the write set its interpreted
+    twin declares (the recorder is a memory proxy, so their streams
+    reach it lowered to element-wise verb calls).
     """
     import fnmatch
 

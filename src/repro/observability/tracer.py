@@ -36,6 +36,7 @@ from __future__ import annotations
 import time
 
 from repro.machine.counters import PerfCounters
+from repro.machine.memory import handle_name
 from repro.observability.events import RECOVERY_KINDS, SCHEMA, TraceEvent
 from repro.observability.sinks import (
     BufferSink, RollupSink, SamplingSink, TraceSink,
@@ -320,7 +321,8 @@ class Tracer:
         item), so the per-rank-pair traffic matrix reconciles exactly
         against the counters; a local verb (``owner == rank``) charges
         plain memory traffic instead and is excluded from the matrix."""
-        data = {"owner": int(owner), "window": _window_name(window),
+        data = {"owner": int(owner),
+                "window": None if window is None else handle_name(window),
                 "items": int(nitems), "dtype": dtype}
         if nbytes is not None:
             data["nbytes"] = int(nbytes)
@@ -449,12 +451,6 @@ def _plain(v):
     if v is None or isinstance(v, (bool, int, float, str)):
         return v
     return str(v)
-
-
-def _window_name(window) -> str | None:
-    if window is None:
-        return None
-    return str(getattr(window, "name", window))
 
 
 def edge_cut(g, part) -> dict:

@@ -58,7 +58,7 @@ import numpy as np
 from repro.graph.partition import Partition1D
 from repro.machine.cost_model import MachineSpec, XC40
 from repro.machine.counters import PerfCounters
-from repro.machine.memory import CacheSimMemory, CountingMemory, MemoryModel
+from repro.machine.memory import CountingMemory, MemoryModel, handle_name
 
 
 @dataclass
@@ -155,10 +155,7 @@ class DMRuntime:
         self.mem.set_counters(self.proc_counters[p])
         # route trace-driven cache simulation into rank p's private
         # caches (a no-op for the counting models)
-        if isinstance(self.mem, CacheSimMemory):
-            self.mem.set_thread(min(p, self.mem.n_threads - 1))
-        else:
-            self.mem.set_thread(p)
+        self.mem.set_thread(p)
         if self.observer is not None:
             self.observer.on_activate(p)
 
@@ -290,8 +287,6 @@ class DMRuntime:
         self._mailboxes[self.rank] = keep
         if self.tracer is not None:
             self.tracer.on_inbox(self.rank, tag, len(msgs))
-        # receive cost: latency per message is paid by the receiver too
-        self.proc_counters[self.rank].messages += 0  # latency counted at sender
         return [(m[0], m[1]) for m in msgs]
 
     def alltoallv(self, contributions: list[list[Any]]) -> list[list[Any]]:
@@ -381,26 +376,22 @@ class DMRuntime:
         Re-registering a name overwrites the binding (kernels register
         their windows at entry, every run).
         """
-        self._windows[self._window_key(window)] = array
+        self._windows[handle_name(window)] = array
 
     def put(self, owner: int, vals, *, window, idx, itemsize: int = 8,
             ops: int | None = None) -> None:
         """A :meth:`rma_put` that moves data through the window registry.
 
-        Charges exactly what ``rma_put(owner, len(idx), ...)`` charges
-        and fires the same observer event; a local put stores
-        immediately, a remote one is staged until ``rma_flush``.
+        Charged by ``rma_put`` itself, as ``n = len(idx)`` items (or
+        ``ops``) in ``n`` ops, so counters and the observer and tracer
+        events are the verb's own; a local put stores immediately, a
+        remote one is staged until ``rma_flush``.
         """
         vals = np.asarray(vals)
         idx = np.asarray(idx, dtype=np.int64).ravel()
         op_count = len(idx) if ops is None else int(ops)
-        if self.observer is not None:
-            self.observer.on_rma("put", self.rank, owner, window, idx, None)
-        self._remote_op(owner, "remote_puts", op_count * itemsize,
-                        op_count=op_count, local_kind="write")
-        if self.tracer is not None:
-            self.tracer.on_rma("put", self.rank, owner, window, op_count, None,
-                               nbytes=op_count * itemsize, ops=op_count)
+        self.rma_put(owner, op_count, itemsize, ops=op_count, window=window,
+                     idx=idx)
         self._stage_or_apply("put", owner, window, idx, vals, None,
                              op_count, op_count * itemsize)
 
@@ -409,34 +400,27 @@ class DMRuntime:
                    ops: int | None = None) -> None:
         """An :meth:`rma_accumulate` that moves data (``+=`` at the target).
 
-        Charges exactly what ``rma_accumulate(owner, n, dtype, ...)``
-        charges for ``n = len(idx)`` (or ``ops``, for kernels that
-        account several logical updates in one batched entry, like TC's
-        per-witness counts) and fires the same observer event.  Local
-        accumulates apply immediately (they are processor atomics);
-        remote ones are staged until ``rma_flush``, in issue order, so
-        fault-free float results are bit-identical to immediate
-        application.
+        Charged by ``rma_accumulate(owner, n, dtype, ...)`` itself for
+        ``n = len(idx)`` (or ``ops``, for kernels that account several
+        logical updates in one batched entry, like TC's per-witness
+        counts), so counters and the observer and tracer events are the
+        verb's own.  Local accumulates apply immediately (they are
+        processor atomics); remote ones are staged until ``rma_flush``,
+        in issue order, so fault-free float results are bit-identical to
+        immediate application.
         """
         vals = np.asarray(vals)
         idx = np.asarray(idx, dtype=np.int64).ravel()
         op_count = len(idx) if ops is None else int(ops)
-        if self.observer is not None:
-            self.observer.on_rma("acc", self.rank, owner, window, idx, dtype)
-        attr = "remote_acc_float" if dtype == "float" else "remote_acc_int"
-        self._remote_op(owner, attr, op_count * itemsize, op_count=op_count,
-                        local_kind="faa" if dtype != "float" else "cas")
-        if self.tracer is not None:
-            self.tracer.on_rma("acc", self.rank, owner, window, op_count,
-                               dtype, nbytes=op_count * itemsize,
-                               ops=op_count)
+        self.rma_accumulate(owner, op_count, dtype, itemsize, window=window,
+                            idx=idx)
         self._stage_or_apply("acc", owner, window, idx, vals, dtype,
                              op_count, op_count * itemsize)
 
     def _stage_or_apply(self, kind: str, owner: int, window, idx, vals,
                         dtype, op_count: int, nbytes: int) -> None:
         op = _StagedOp(seq=self._next_seq, rank=self.rank, owner=owner,
-                       window=window, wkey=self._window_key(window),
+                       window=window, wkey=handle_name(window),
                        idx=idx, vals=vals, kind=kind, dtype=dtype,
                        op_count=op_count, nbytes=nbytes)
         self._next_seq += 1
@@ -474,12 +458,8 @@ class DMRuntime:
         op.applied = True
         return True
 
-    @staticmethod
-    def _window_key(window) -> str:
-        return str(getattr(window, "name", window))
-
     def _window_array(self, window) -> np.ndarray:
-        key = self._window_key(window)
+        key = handle_name(window)
         try:
             return self._windows[key]
         except KeyError:

@@ -363,8 +363,8 @@ class FaultInjector(BaseFaultInjector):
                 if self._hit(plan.delay):
                     self.stats.delayed += 1
                     self._event("delay-a2a", p, q)
-                    stall = ((rec.delay_wait if rec is not None else 20000.0)
-                             * plan.delay_steps)
+                    stall = ((rec.delay_wait if rec is not None
+                              else RecoveryConfig.delay_wait) * plan.delay_steps)
                     wait += stall
                     self.stats.backoff_time += stall
             received[q].extend(extras)

@@ -25,7 +25,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.partition import Partition1D
 from repro.machine.cost_model import MachineSpec, XC30
 from repro.machine.counters import PerfCounters
-from repro.machine.memory import CacheSimMemory, CountingMemory, MemoryModel
+from repro.machine.memory import CountingMemory, MemoryModel
 from repro.runtime.scheduler import assign
 
 
@@ -108,10 +108,7 @@ class SMRuntime:
     def _activate(self, t: int) -> None:
         self._active_thread = t
         self.mem.set_counters(self.thread_counters[t])
-        if isinstance(self.mem, CacheSimMemory):
-            self.mem.set_thread(min(t, self.mem.n_threads - 1))
-        else:
-            self.mem.set_thread(t)
+        self.mem.set_thread(t)
 
     def owned_write_check(self, v) -> None:
         """Raise if the executing thread writes a vertex it does not own.

@@ -68,6 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.machine.memory import MemoryProxy, as_index_array
 from repro.runtime.fault_core import (
     BaseFaultInjector, FaultStats, plan_label, validate_plan,
 )
@@ -114,18 +115,12 @@ class SMFaultPlan:
         return plan_label(self)
 
 
-def _as_index_array(idx) -> np.ndarray:
-    if np.isscalar(idx):
-        return np.array([int(idx)], dtype=np.int64)
-    return np.asarray(idx, dtype=np.int64).ravel()
-
-
-class FaultPerturbedMemory:
+class FaultPerturbedMemory(MemoryProxy):
     """A perturbing proxy in front of any :class:`MemoryModel`.
 
-    Mirrors the delegated surface of
-    :class:`~repro.analysis.race.RaceDetectingMemory` (the two compose
-    in either order; the chaos suite wraps the detector).  All
+    Like :class:`~repro.analysis.race.RaceDetectingMemory` it is a
+    :class:`~repro.machine.memory.MemoryProxy`, so the two compose in
+    either order (the chaos suite wraps the detector).  All
     event/cache accounting delegates to the wrapped model; the proxy
     additionally draws per-call faults from the injector's seeded RNG
     and keeps the ndarray references :meth:`register` sees, which is
@@ -135,11 +130,8 @@ class FaultPerturbedMemory:
     """
 
     def __init__(self, inner, injector: "SMFaultInjector") -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.inj = injector
-        self._thread = 0
-        self._in_region = False
-        self._handles: dict[str, object] = {}
         #: registered ndarrays by handle name (the checkpoint targets)
         self._snapshot_arrays: dict[str, np.ndarray] = {}
         #: (thread, handle name, parked index array) store-buffer entries
@@ -147,18 +139,8 @@ class FaultPerturbedMemory:
         #: (ndarray, item index, saved value) lost-claim reverts
         self._reverts: list[tuple[np.ndarray, int, object]] = []
 
-    # -- delegated surface ---------------------------------------------------------
-    @property
-    def arrays(self) -> dict:
-        return self.inner.arrays
-
-    @property
-    def counters(self):
-        return self.inner.counters
-
     def register(self, name: str, array_or_size, itemsize: int | None = None):
         handle = self.inner.register(name, array_or_size, itemsize)
-        self._handles[handle.name] = handle
         # keep (and refresh, on re-registration) the live array -- the
         # inner model returns the existing handle untouched, but the
         # checkpoint must roll back the array the kernel writes *now*
@@ -166,86 +148,48 @@ class FaultPerturbedMemory:
             self._snapshot_arrays[handle.name] = array_or_size
         return handle
 
-    def set_counters(self, counters) -> None:
-        self.inner.set_counters(counters)
-
-    def branch_cond(self, n: int = 1) -> None:
-        self.inner.branch_cond(n)
-
-    def branch_uncond(self, n: int = 1) -> None:
-        self.inner.branch_uncond(n)
-
-    def flop(self, n: int = 1) -> None:
-        self.inner.flop(n)
-
-    # -- runtime hooks -------------------------------------------------------------
-    def set_thread(self, tid: int) -> None:
-        self._thread = tid
-        # CacheSimMemory needs its clamped private-cache id
-        n_threads = getattr(self.inner, "n_threads", None)
-        if n_threads is not None:
-            self.inner.set_thread(min(tid, n_threads - 1))
-        else:
-            self.inner.set_thread(tid)
-
-    def region_begin(self) -> None:
-        self._in_region = True
-        self.inner.region_begin()
-
-    def region_end(self) -> None:
-        self._in_region = False
-        self.inner.region_end()
-
-    def on_barrier(self) -> None:
-        self.inner.on_barrier()
-
     # -- perturbed verbs -----------------------------------------------------------
     def read(self, handle, idx=None, count=None, mode="seq", start=None) -> None:
         inj = self.inj
-        if (self._in_region and self._pending_stores and idx is not None
+        if (self.in_region and self._pending_stores and idx is not None
                 and inj.plan.store_delay > 0):
-            inj.note_stale_reads(self._thread, handle, _as_index_array(idx),
+            inj.note_stale_reads(self.thread, handle, as_index_array(idx),
                                  self._pending_stores)
         self.inner.read(handle, idx=idx, count=count, mode=mode, start=start)
 
     def write(self, handle, idx=None, count=None, mode="seq", start=None) -> None:
         inj = self.inj
-        if (self._in_region and idx is not None
+        if (self.in_region and idx is not None
                 and inj._hit(inj.plan.store_delay)):
             self._pending_stores.append(
-                (self._thread, handle.name, _as_index_array(idx)))
+                (self.thread, handle.name, as_index_array(idx)))
             inj.stats.store_delays += 1
-            inj._event("store-delay", self._thread, handle.name)
+            inj._event("store-delay", self.thread, handle.name)
         self.inner.write(handle, idx=idx, count=count, mode=mode, start=start)
-
-    def faa(self, handle, idx=None, count=None, mode="rand", start=None,
-            batched=False, covers=None) -> None:
-        self.inner.faa(handle, idx=idx, count=count, mode=mode, start=start,
-                       batched=batched, covers=covers)
 
     def cas(self, handle, idx=None, count=None, successes=None, mode="rand",
             start=None, batched=False, covers=None) -> None:
         self.inner.cas(handle, idx=idx, count=count, successes=successes,
                        mode=mode, start=start, batched=batched, covers=covers)
         inj = self.inj
-        if not self._in_region or idx is None:
+        if not self.in_region or idx is None:
             return
         plan = inj.plan
         if plan.cas_lost > 0 and inj._hit(plan.cas_lost):
-            inj.lose_claim(self, self._thread, handle, _as_index_array(idx),
+            inj.lose_claim(self, self.thread, handle, as_index_array(idx),
                            covers, batched=batched)
         if plan.cas_duplicate > 0 and inj._hit(plan.cas_duplicate):
-            inj.duplicate_claim(self, self._thread, handle,
-                                _as_index_array(idx), batched=batched)
+            inj.duplicate_claim(self, self.thread, handle,
+                                as_index_array(idx), batched=batched)
 
     def lock(self, handle, idx=None, count=None, mode="rand", start=None,
              covers=None) -> None:
         self.inner.lock(handle, idx=idx, count=count, mode=mode, start=start,
                         covers=covers)
         inj = self.inj
-        if (self._in_region and inj.plan.lock_preempt > 0
+        if (self.in_region and inj.plan.lock_preempt > 0
                 and inj._hit(inj.plan.lock_preempt)):
-            inj.preempt_lock(self._thread, handle)
+            inj.preempt_lock(self.thread, handle)
 
     # -- fault bookkeeping ---------------------------------------------------------
     def queue_revert(self, arr: np.ndarray, item: int) -> None:
@@ -435,7 +379,7 @@ class SMFaultInjector(BaseFaultInjector):
             carr = mem._snapshot_arrays.get(cover_handle.name)
             if carr is None:
                 continue
-            cidx = _as_index_array(cover_idx)
+            cidx = as_index_array(cover_idx)
             if len(cidx) == len(idx):       # element-aligned companion set
                 mem.queue_revert(carr, int(cidx[j]))
 

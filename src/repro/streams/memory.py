@@ -15,17 +15,17 @@ consumption paths, chosen by the *exact* type of the wrapped model:
   simulator in a single call.  Exact because the simulator only
   collapses consecutive duplicate lines, so merging call boundaries
   cannot change which lines miss.
-* anything else (race-detector proxies, test oracles) -- the stream is
-  lowered back to element-at-a-time verb calls in replay order, so
-  dynamic analyses see the same call sequence the interpreter makes.
+* anything else (:class:`~repro.machine.memory.MemoryProxy` wrappers
+  such as the race detectors, the fault proxy and the footprint
+  recorder; test oracles) -- the stream is lowered back to
+  element-at-a-time verb calls in replay order, so dynamic analyses
+  see the same call sequence the interpreter makes.
 
 ``StreamMemory`` is *not* installed on the runtime: kernels construct
 it over ``rt.mem`` and keep issuing scalar verbs (``branch_cond``,
 ``flop``, single pre-batched calls) directly, so runtime thread
 routing, tracer deltas, and wrapped-verb instrumentation keep working
-unchanged.  Models that wrap verbs (e.g. the footprint recorder) can
-observe fast-path replays by exposing an ``on_stream_replay(ops)``
-attribute on the wrapped model.
+unchanged.
 """
 
 from __future__ import annotations
@@ -59,9 +59,6 @@ class StreamMemory:
         if not ops:
             return
         base = self.base
-        hook = getattr(base, "on_stream_replay", None)
-        if hook is not None:
-            hook(ops)
         bt = type(base)
         if bt is CountingMemory:
             for op in ops:

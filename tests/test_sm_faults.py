@@ -199,6 +199,30 @@ class TestCasClaims:
         assert inj.stats.cas_lost > 0 and inj.stats.cas_retries == 0
         assert not np.array_equal(res.level, ref)
 
+    def test_lost_claim_independent_of_attach_order(self, g):
+        # a raw lost claim reverts the CAS target and its covers=
+        # companions (BFS's level beside parent); the detector forwards
+        # covers=, so it may sit inside or outside the fault proxy
+        runs = []
+        for detector_first in (True, False):
+            rt = _rt(g)
+            if detector_first:
+                attach_race_detector(rt)
+            inj = attach_sm_fault_injector(
+                rt, SMFaultPlan(seed=0, cas_lost=0.3), recovery=None)
+            if not detector_first:
+                attach_race_detector(rt)
+            res = bfs(g, rt, root=0, direction="push")
+            runs.append((res, rt, inj))
+        (res0, rt0, inj0), (res1, rt1, inj1) = runs
+        assert inj0.stats.cas_lost > 0
+        assert np.array_equal(res0.level, res1.level)
+        assert np.array_equal(res0.parent, res1.parent)
+        assert rt0.time == rt1.time
+        assert inj0.stats.to_dict() == inj1.stats.to_dict()
+        assert (rt0.total_counters().to_dict()
+                == rt1.total_counters().to_dict())
+
     def test_lost_claim_recovered_by_retry(self, g):
         ref = bfs_reference(g, 0)
         res, rt, inj = _chaos_bfs(g, SMFaultPlan(seed=0, cas_lost=0.3))

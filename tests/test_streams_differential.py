@@ -122,17 +122,32 @@ class TestEventTaxonomy:
 
 class TestEffectsReconciliation:
     """The static write-effect golden must cover the batched kernels'
-    dynamic footprints too (FootprintRecorder's stream-replay hook)."""
+    dynamic footprints too (the recorder is a memory proxy, so batched
+    streams reach it through the element-wise lowering)."""
 
-    def test_batched_footprints_covered(self):
+    @pytest.fixture(scope="class")
+    def cells(self):
         from repro.observability.footprint import reconcile_effects
 
-        cells = reconcile_effects(n=64, iterations=2, engine="batched")
-        assert len(cells) == 14
-        bad = [c for c in cells if not c.ok]
+        return {engine: reconcile_effects(n=64, iterations=2, engine=engine)
+                for engine in ("interpreted", "batched")}
+
+    def test_batched_footprints_covered(self, cells):
+        batched = cells["batched"]
+        assert len(batched) == 14
+        bad = [c for c in batched if not c.ok]
         assert bad == [], "\n".join(
             f"{c.algorithm}/{c.variant} dm={c.dm}: traced {c.missing} "
             f"missing from static set {c.static}" for c in bad)
+
+    def test_engines_trace_the_same_footprints(self, cells):
+        def traced(engine):
+            return [(c.algorithm, c.variant, c.dm, c.traced)
+                    for c in cells[engine]]
+
+        assert len(cells["interpreted"]) == 14
+        assert all(c.traced for c in cells["interpreted"])
+        assert traced("batched") == traced("interpreted")
 
 
 class TestEngineValidation:

@@ -237,16 +237,6 @@ class TestStreamOpContract:
         sm.replay([None, rand_op("read", h, np.arange(2)), None])
         assert mem.counters.to_dict()["reads"] == 2
 
-    def test_replay_notifies_wrapped_model_hook(self):
-        mem = CountingMemory(TINY)
-        h = mem.register("x", 8)
-        seen = []
-        mem.on_stream_replay = seen.append
-        ops = [rand_op("write", h, np.arange(3))]
-        StreamMemory(mem).replay(ops)
-        assert seen == [ops]
-        assert mem.counters.to_dict()["writes"] == 3
-
 
 class TestConcatRanges:
     def test_matches_python_loop(self):
