@@ -400,6 +400,11 @@ def _cmd_analyze(args) -> int:
         if missing:
             print(f"no such path(s): {', '.join(missing)}", file=sys.stderr)
             return 2
+        if not any(Path(p).is_file() or any(Path(p).rglob("*.py"))
+                   for p in paths):
+            print(f"no *.py file(s) under: {', '.join(paths)}",
+                  file=sys.stderr)
+            return 2
         findings = lint_paths(paths)
         for f in findings:
             say(f)

@@ -7,8 +7,12 @@
   an epoch checker for the MPI-3-style one-sided/message discipline of
   :class:`repro.runtime.dm.DMRuntime`.
 * :mod:`repro.analysis.lint` -- a static AST pass over the kernels
-  flagging stores that bypass the instrumented memory, push stores
-  without atomics, push-side ownership checks, and missing barriers.
+  flagging stores that bypass the instrumented memory (ANL001), push
+  stores without atomics (ANL002), push-side ownership checks
+  (ANL003), missing barriers (ANL004), untagged or window-less DM
+  channels (ANL005), and stores outside every region boundary
+  (ANL006); its module index, body scanner and helper expansion are
+  the ones effect inference reads.
 * :mod:`repro.analysis.effects` -- static effect inference (ANL1xx):
   per-phase effect signatures (arrays read/written, index provenance,
   push/pull direction, atomic necessity verdicts, DM verb footprints)

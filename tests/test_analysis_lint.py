@@ -87,7 +87,7 @@ def kernel(rt, mem, h, tc, direction):
 
 
 class TestShippedKernels:
-    @pytest.mark.parametrize("package", ["algorithms", "strategies"])
+    @pytest.mark.parametrize("package", ["algorithms", "strategies", ""])
     def test_algorithms_package_is_clean(self, package):
         findings = lint_paths([PACKAGE_DIR / package])
         assert findings == [], "\n".join(str(f) for f in findings)
@@ -531,3 +531,39 @@ def kernel(rt, mem, h):
 """
         findings = lint_source(src)
         assert _rules(findings) == {"ANL006"}
+
+    # a method is covered when a region body in another module of the
+    # run calls it by attribute name and that module imports its class
+    # (ThreadLocalFrontiers.merge under BFS's k-filter)
+    FRONTIERS = """
+class Frontiers:
+    def merge(self, mem, h):
+        mem.write(h, idx=0, mode="rand")
+"""
+
+    def test_method_called_from_importing_module_is_clean(self, tmp_path):
+        (tmp_path / "frontiers.py").write_text(self.FRONTIERS)
+        (tmp_path / "kernel.py").write_text("""
+from frontiers import Frontiers
+
+def kernel(rt, mem, h):
+    f = Frontiers()
+    def kfilter():
+        f.merge(mem, h)
+    rt.sequential(kfilter)
+""")
+        assert lint_paths([tmp_path]) == []
+        # the method's module alone cannot see its caller
+        assert _rules(lint_file(tmp_path / "frontiers.py")) == {"ANL006"}
+
+    def test_caller_without_the_class_import_stays_flagged(self, tmp_path):
+        (tmp_path / "frontiers.py").write_text(self.FRONTIERS)
+        (tmp_path / "kernel.py").write_text("""
+def kernel(rt, mem, h, f):
+    def kfilter():
+        f.merge(mem, h)
+    rt.sequential(kfilter)
+""")
+        findings = lint_paths([tmp_path])
+        assert [(f.rule, Path(f.path).name, f.func) for f in findings] == [
+            ("ANL006", "frontiers.py", "Frontiers.merge")]

@@ -1,8 +1,13 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
+
+#: a directory with no Python files in it
+DOCS_DIR = str(Path(__file__).resolve().parent.parent / "docs")
 
 
 class TestInfo:
@@ -108,6 +113,7 @@ class TestAnalyzeExitCodes:
          "P must be positive"),
         (["--faults", "--fault-seeds", "0"],
          "--fault-seeds must be at least 1, got 0"),
+        (["--lint", DOCS_DIR], f"no *.py file(s) under: {DOCS_DIR}"),
     ])
     def test_configuration_errors_exit_2(self, capsys, argv, message):
         assert main(["analyze", *argv]) == 2
