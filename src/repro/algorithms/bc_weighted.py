@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.algorithms.bc import BCResult
 from repro.algorithms.common import (
-    PULL, PUSH, GraphArrays, check_direction, gather_edge_positions,
+    PULL, PUSH, GraphArrays, check_direction,
 )
 from repro.algorithms.sssp_delta import sssp_delta
 from repro.graph.csr import CSRGraph

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms.common import (
-    PULL, PUSH, AlgoResult, GraphArrays, check_direction,
+    PUSH, AlgoResult, GraphArrays, check_direction,
 )
 from repro.graph.csr import CSRGraph
 from repro.runtime.frontier import ThreadLocalFrontiers

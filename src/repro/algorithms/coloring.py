@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms.common import (
-    PULL, PUSH, AlgoResult, GraphArrays, check_direction,
+    PUSH, AlgoResult, GraphArrays, check_direction,
 )
 from repro.graph.csr import CSRGraph
 from repro.runtime.sm import SMRuntime

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms.common import (
-    PULL, PUSH, AlgoResult, GraphArrays, check_direction, gather_edge_positions,
+    PUSH, AlgoResult, GraphArrays, check_direction, gather_edge_positions,
 )
 from repro.graph.csr import CSRGraph
 from repro.runtime.sm import SMRuntime

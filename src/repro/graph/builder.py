@@ -11,6 +11,10 @@ def from_edges(n: int, edges, weights=None, directed: bool = False,
                dedup: bool = True) -> CSRGraph:
     """Build a :class:`CSRGraph` from an edge array.
 
+    Each arc ``u -> v`` is sorted as the one int64 key ``u*n + v``, so
+    rows come out in source order and each row ascending.  ``adj`` is
+    ``int32``, so ``n < 2**31`` and every key is below ``2**62``.
+
     Parameters
     ----------
     n:
@@ -19,65 +23,53 @@ def from_edges(n: int, edges, weights=None, directed: bool = False,
         ``(k, 2)`` array-like of endpoint pairs.  Self loops are
         dropped; for undirected graphs each pair is mirrored.
     weights:
-        Optional ``k``-vector of non-negative edge weights.
+        Optional ``k``-vector of non-negative edge weights (NaN is
+        rejected; ``inf`` is allowed).
     directed:
         Build a directed graph (edges are arcs ``u -> v``).
     dedup:
         Drop duplicate (parallel) edges, keeping the *minimum* weight
         among duplicates (the convention that keeps SSSP well defined).
+        With ``dedup=False`` parallel arcs are all kept in input order
+        (for undirected graphs, mirrored copies after the given arcs).
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if len(weights) != len(edges):
             raise ValueError("weights must match edges")
-        if np.any(weights < 0):
-            raise ValueError("edge weights must be non-negative")
+        if not np.all(weights >= 0):
+            raise ValueError("edge weights must be non-negative and not NaN")
     if len(edges) and (edges.min() < 0 or edges.max() >= n):
         raise ValueError("edge endpoint out of range")
 
-    keep = edges[:, 0] != edges[:, 1]
-    edges = edges[keep]
+    src, dst = edges.T
+    keep = src != dst
+    key = (src * n + dst)[keep]
     if weights is not None:
         weights = weights[keep]
-
     if not directed:
-        edges = np.concatenate([edges, edges[:, ::-1]], axis=0)
+        key = np.concatenate([key, (dst * n + src)[keep]])
         if weights is not None:
             weights = np.concatenate([weights, weights])
 
-    if len(edges) == 0:
-        return CSRGraph(np.zeros(n + 1, dtype=np.int64),
-                        np.empty(0, dtype=np.int32),
-                        np.empty(0) if weights is not None else None,
-                        directed=directed)
-
-    if dedup:
-        if weights is not None:
-            # sort by (src, dst, weight) so the first of each run carries
-            # the minimum weight
-            order = np.lexsort((weights, edges[:, 1], edges[:, 0]))
-        else:
-            order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges = edges[order]
-        if weights is not None:
-            weights = weights[order]
-        uniq = np.ones(len(edges), dtype=bool)
-        uniq[1:] = np.any(edges[1:] != edges[:-1], axis=1)
-        edges = edges[uniq]
-        if weights is not None:
-            weights = weights[uniq]
+    if weights is None:
+        key = np.sort(key)
     else:
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        edges = edges[order]
+        # dedup merges equal keys, so only kept parallel arcs need a stable order
+        order = np.argsort(key, kind=None if dedup else "stable")
+        key, weights = key[order], weights[order]
+    if dedup:
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
         if weights is not None:
-            weights = weights[order]
+            weights = np.minimum.reduceat(weights, np.flatnonzero(first))
+        key = key[first]
 
-    counts = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(counts, edges[:, 0] + 1, 1)
-    offsets = np.cumsum(counts)
-    return CSRGraph(offsets, edges[:, 1].astype(np.int32), weights,
-                    directed=directed)
+    src, dst = np.divmod(key, n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return CSRGraph(offsets, dst.astype(np.int32), weights, directed=directed)
 
 
 def from_networkx(g) -> CSRGraph:
@@ -86,8 +78,6 @@ def from_networkx(g) -> CSRGraph:
     Nodes are relabelled to ``0..n-1`` in sorted order; a ``weight``
     edge attribute, if present on every edge, is carried over.
     """
-    import networkx as nx
-
     nodes = sorted(g.nodes())
     index = {u: i for i, u in enumerate(nodes)}
     directed = g.is_directed()

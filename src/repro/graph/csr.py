@@ -129,14 +129,13 @@ class CSRGraph:
             return self
         if self._transpose is None:
             src = np.repeat(np.arange(self.n, dtype=np.int32), np.diff(self.offsets))
-            order = np.lexsort((src, self.adj))
-            radj = src[order]
-            rdst = self.adj[order]
+            # rows are already in source order, so a stable sort by
+            # destination alone orders ties by (src, position)
+            order = np.argsort(self.adj, kind="stable")
             roff = np.zeros(self.n + 1, dtype=np.int64)
-            np.add.at(roff, rdst + 1, 1)
-            np.cumsum(roff, out=roff)
+            np.cumsum(np.bincount(self.adj, minlength=self.n), out=roff[1:])
             rw = None if self.weights is None else self.weights[order]
-            self._transpose = CSRGraph(roff, radj, rw, directed=True, check=False)
+            self._transpose = CSRGraph(roff, src[order], rw, directed=True, check=False)
         return self._transpose
 
     def edges(self) -> np.ndarray:
@@ -147,13 +146,6 @@ class CSRGraph:
         if not self.directed:
             pairs = pairs[pairs[:, 0] < pairs[:, 1]]
         return pairs
-
-    def edge_list_with_weights(self) -> list[tuple[int, int, float]]:
-        pairs = self.edges()
-        out = []
-        for v, w in pairs:
-            out.append((int(v), int(w), self.weight_of(int(v), int(w))))
-        return out
 
     def with_weights(self, weights_per_entry: np.ndarray) -> "CSRGraph":
         """A copy of this graph carrying the given per-entry weights."""

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.machine.cost_model import (
-    MACHINES, TRIVIUM, XC30, XC40, XC40_STAR, XC50, MachineSpec,
+    MACHINES, TRIVIUM, XC30, XC40, XC40_STAR, XC50,
 )
 from repro.machine.counters import PerfCounters
 

@@ -43,9 +43,21 @@ class TestConstruction:
         assert g.weight_of(0, 1) == 2.0
         assert g.weight_of(1, 0) == 2.0
 
-    def test_negative_weight_rejected(self):
+    @pytest.mark.parametrize("weight", [-1.0, np.nan])
+    def test_negative_weight_rejected(self, weight):
         with pytest.raises(ValueError):
-            from_edges(3, [(0, 1)], weights=[-1.0])
+            from_edges(3, [(0, 1)], weights=[weight])
+
+    def test_keep_parallel_arcs_in_input_order(self):
+        g = from_edges(2, [(0, 1), (0, 1), (1, 0), (0, 1)],
+                       weights=[5.0, 2.0, 9.0, 7.0], dedup=False)
+        # each row: the given arcs in input order, then the mirrored ones
+        assert g.edge_weights(0).tolist() == [5.0, 2.0, 7.0, 9.0]
+        assert g.edge_weights(1).tolist() == [9.0, 5.0, 2.0, 7.0]
+        d = from_edges(3, [(0, 1), (2, 1), (0, 1)], weights=[5.0, 3.0, 2.0],
+                       directed=True, dedup=False)
+        assert d.transposed().neighbors(1).tolist() == [0, 0, 2]
+        assert d.transposed().edge_weights(1).tolist() == [5.0, 2.0, 3.0]
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -172,3 +184,120 @@ class TestProperties:
         g = from_edges(n, edges)
         assert g.offsets[0] == 0 and g.offsets[-1] == len(g.adj)
         assert np.all(np.diff(g.offsets) >= 0)
+
+
+def lexsort_from_edges(n, edges, weights=None, directed=False, dedup=True):
+    """``from_edges`` as it was built on a 2-3 column ``np.lexsort``: the
+    reference the single-key build must match array for array."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+    keep = edges[:, 0] != edges[:, 1]
+    edges = edges[keep]
+    if weights is not None:
+        weights = weights[keep]
+    if not directed:
+        edges = np.concatenate([edges, edges[:, ::-1]], axis=0)
+        if weights is not None:
+            weights = np.concatenate([weights, weights])
+    if len(edges) == 0:
+        return CSRGraph(np.zeros(n + 1, dtype=np.int64),
+                        np.empty(0, dtype=np.int32),
+                        np.empty(0) if weights is not None else None,
+                        directed=directed)
+    if dedup:
+        if weights is not None:
+            order = np.lexsort((weights, edges[:, 1], edges[:, 0]))
+        else:
+            order = np.lexsort((edges[:, 1], edges[:, 0]))
+        edges = edges[order]
+        if weights is not None:
+            weights = weights[order]
+        uniq = np.ones(len(edges), dtype=bool)
+        uniq[1:] = np.any(edges[1:] != edges[:-1], axis=1)
+        edges = edges[uniq]
+        if weights is not None:
+            weights = weights[uniq]
+    else:
+        order = np.lexsort((edges[:, 1], edges[:, 0]))
+        edges = edges[order]
+        if weights is not None:
+            weights = weights[order]
+    counts = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(counts, edges[:, 0] + 1, 1)
+    return CSRGraph(np.cumsum(counts), edges[:, 1].astype(np.int32), weights,
+                    directed=directed)
+
+
+def lexsort_transposed(g):
+    """``CSRGraph.transposed`` as it was built on ``np.lexsort((src, adj))``."""
+    src = np.repeat(np.arange(g.n, dtype=np.int32), np.diff(g.offsets))
+    order = np.lexsort((src, g.adj))
+    roff = np.zeros(g.n + 1, dtype=np.int64)
+    np.add.at(roff, g.adj[order] + 1, 1)
+    np.cumsum(roff, out=roff)
+    rw = None if g.weights is None else g.weights[order]
+    return CSRGraph(roff, src[order], rw, directed=True, check=False)
+
+
+# few distinct values, so parallel arcs tie on weight
+TIED_WEIGHTS = (0.0, 1.0, 2.5, np.inf)
+
+EXPLICIT_CASES = {
+    "parallel-different-weights": (3, [(0, 1), (0, 1), (1, 0), (0, 1)], [5.0, 2.0, 1.0, 7.0]),
+    "parallel-equal-weights": (3, [(0, 1), (0, 1), (1, 2), (2, 1)], [2.0, 2.0, 2.0, 2.0]),
+    "all-self-loops": (3, [(0, 0), (1, 1), (2, 2)], [1.0, 2.0, 3.0]),
+    "empty": (4, [], []),
+    "n=1": (1, [(0, 0)], [4.0]),
+}
+
+
+def assert_same_csr(got, want):
+    for name in ("offsets", "adj", "weights"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def check_against_lexsort(n, edges, weights, directed, dedup):
+    g = from_edges(n, edges, weights, directed=directed, dedup=dedup)
+    assert_same_csr(g, lexsort_from_edges(n, edges, weights, directed, dedup))
+    if directed:
+        assert_same_csr(g.transposed(), lexsort_transposed(g))
+
+
+@pytest.mark.parametrize("dedup", [True, False], ids=["dedup", "keep-parallel"])
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+class TestAgainstLexsortReference:
+    """The single-key build equals the lexsort build in value and dtype."""
+
+    def test_seeded_cases(self, weighted, directed, dedup):
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 40))
+            k = int(rng.integers(0, 4 * n))
+            edges = rng.integers(0, n, size=(k, 2))
+            weights = None
+            if weighted:
+                weights = (rng.choice(TIED_WEIGHTS, size=k) if seed % 2
+                           else rng.exponential(size=k))
+            check_against_lexsort(n, edges, weights, directed, dedup)
+
+    @settings(max_examples=25, deadline=None)
+    @given(ne=edge_lists(), data=st.data())
+    def test_edge_lists(self, weighted, directed, dedup, ne, data):
+        n, edges = ne
+        weights = None
+        if weighted:
+            weights = data.draw(st.lists(st.sampled_from(TIED_WEIGHTS),
+                                         min_size=len(edges), max_size=len(edges)))
+        check_against_lexsort(n, edges, weights, directed, dedup)
+
+    @pytest.mark.parametrize("case", EXPLICIT_CASES.values(), ids=EXPLICIT_CASES.keys())
+    def test_explicit_cases(self, weighted, directed, dedup, case):
+        n, edges, weights = case
+        check_against_lexsort(n, edges, weights if weighted else None, directed, dedup)
+
