@@ -62,28 +62,26 @@ class PerfCounters:
 
     def __add__(self, other: "PerfCounters") -> "PerfCounters":
         return PerfCounters(
-            **{f.name: getattr(self, f.name) + getattr(other, f.name) for f in fields(self)}
-        )
+            **{k: getattr(self, k) + getattr(other, k) for k in _FIELDS})
 
     def __iadd__(self, other: "PerfCounters") -> "PerfCounters":
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for k in _FIELDS:
+            setattr(self, k, getattr(self, k) + getattr(other, k))
         return self
 
     def __sub__(self, other: "PerfCounters") -> "PerfCounters":
         return PerfCounters(
-            **{f.name: getattr(self, f.name) - getattr(other, f.name) for f in fields(self)}
-        )
+            **{k: getattr(self, k) - getattr(other, k) for k in _FIELDS})
 
     def copy(self) -> "PerfCounters":
         return PerfCounters(**self.to_dict())
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {k: getattr(self, k) for k in _FIELDS}
 
     def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
+        for k in _FIELDS:
+            setattr(self, k, 0)
 
     @staticmethod
     def total(parts: list["PerfCounters"]) -> "PerfCounters":
@@ -100,13 +98,16 @@ class PerfCounters:
         BC with sampled sources) and extrapolate the event counts.
         """
         return PerfCounters(
-            **{f.name: int(round(getattr(self, f.name) * factor)) for f in fields(self)}
-        )
+            **{k: int(round(getattr(self, k) * factor)) for k in _FIELDS})
 
     # Human-readable rendering in the style of Table 1 ("234M", "3,169T").
     def formatted(self) -> dict:
         return {k: format_count(v) for k, v in self.to_dict().items()}
 
+
+#: the counter names in declaration order, listed once for the
+#: element-wise operations
+_FIELDS = tuple(f.name for f in fields(PerfCounters))
 
 _SUFFIXES = [(10**12, "T"), (10**9, "B"), (10**6, "M"), (10**3, "k")]
 

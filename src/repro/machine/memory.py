@@ -74,8 +74,10 @@ def _count(idx, count) -> int:
     """Number of items referenced by an (idx, count) access descriptor."""
     if count is not None:
         return int(count)
-    if idx is None:
+    if idx is None or type(idx) is int:
         return 1
+    if type(idx) is np.ndarray:
+        return idx.size
     if np.isscalar(idx):
         return 1
     return int(np.asarray(idx).size)
@@ -119,6 +121,11 @@ class MemoryModel:
     def set_counters(self, counters: PerfCounters) -> None:
         """Redirect event accounting (e.g. to the current thread)."""
         self.counters = counters
+
+    def clear_residues(self, counters: Sequence[PerfCounters]) -> None:
+        """Drop the sub-event remainders held for ``counters``, so a run
+        after the runtime's ``reset()`` starts like the first one.  Only
+        :class:`CountingMemory` holds any; a cache simulator stays warm."""
 
     # -- runtime hooks (no-ops here) ----------------------------------------------
     # The runtimes narrate their execution structure to the memory
@@ -254,22 +261,37 @@ class CountingMemory(MemoryModel):
     analogously for the TLB over pages.
 
     Miss fractions are quantized onto a fixed-point ``2**-20`` grid and
-    accumulated as *integers*: integer addition is associative, so the
-    totals are independent of how accesses are grouped into calls.
-    This is what lets the batched stream engine (:mod:`repro.streams`)
-    compute per-segment contributions vectorized and land on counters
-    byte-identical to the per-call interpreter.
+    accumulated as *integers*, one accumulator per counter set (lane):
+    integer addition is associative, so the totals are independent of
+    how accesses are grouped into calls.  This is what lets the batched
+    stream engine (:mod:`repro.streams`) compute per-segment
+    contributions vectorized and land on counters byte-identical to the
+    per-call interpreter.  Whole misses move into the counters as soon
+    as an accumulator slot reaches the grid, so a counter read at any
+    instant sees the same value however the accesses were grouped.
+
+    An access whose working set is the whole array (every ``seq``
+    access; a ``rand`` access at no index, one scalar index or an index
+    array of at most one element) has increments that depend only on
+    ``(size, itemsize, n, mode)``; those are memoized per model.
     """
 
-    #: fixed-point quantum (as a float multiplier) for miss accumulation
-    _QUANTUM = float(1 << 20)
+    #: fixed-point grid: one whole miss is this many quanta
+    _GRID = 1 << 20
 
     def __init__(self, hierarchy: CacheHierarchySpec | None = None) -> None:
         super().__init__()
-        self.hier = hierarchy or CacheHierarchySpec()
-        self._line = self.hier.l1.line_bytes
-        # integer fixed-point accumulators, flushed into counters lazily
+        hier = self.hier = hierarchy or CacheHierarchySpec()
+        self._line = hier.l1.line_bytes
+        # the capacities an access's working set is compared against
+        self._caps = (hier.l1.size_bytes, hier.l2.size_bytes,
+                      hier.l3.size_bytes, hier.tlb.entries * hier.tlb.page_bytes)
+        # integer fixed-point accumulators per lane; _lane is the
+        # current lane's, re-fetched when the counters are redirected
         self._acc: dict[int, list] = {}
+        self._lane = self._acc_for(self.counters)
+        # (size, itemsize, n, mode) -> increments of a whole-array access
+        self._memo: dict[tuple, tuple] = {}
 
     def _acc_for(self, counters: PerfCounters) -> list:
         key = id(counters)
@@ -279,43 +301,57 @@ class CountingMemory(MemoryModel):
             self._acc[key] = acc
         return acc
 
+    def clear_residues(self, counters: Sequence[PerfCounters]) -> None:
+        # in place: the cached current lane stays the live accumulator
+        for c in counters:
+            acc = self._acc.get(id(c))
+            if acc is not None:
+                acc[:4] = (0, 0, 0, 0)
+
+    def _increments(self, nbytes: int, itemsize: int, n: int,
+                    mode: str) -> tuple:
+        """Quantized (l1, l2, l3, tlb) miss increments of ``n`` accesses
+        of ``itemsize`` bytes over a working set of ``nbytes``."""
+        q = self._GRID
+        if mode == "seq":
+            l1, l2, l3, tlb_reach = self._caps
+            ql = int(np.rint(n * itemsize / self._line * q))
+            qp = int(np.rint(n * itemsize / _PAGE * q))
+            return (ql if nbytes > l1 else 0, ql if nbytes > l2 else 0,
+                    ql if nbytes > l3 else 0, qp if nbytes > tlb_reach else 0)
+        return tuple([int(np.rint(n * max(0.0, 1.0 - cap / nbytes) * q))
+                      for cap in self._caps])
+
     def _touch(self, handle: ArrayHandle, idx, n: int, mode: str,
                start: int | None = None) -> None:
-        nbytes = handle.nbytes
+        acc = self._lane
+        if acc[4] is not self.counters:
+            acc = self._lane = self._acc_for(self.counters)
+        itemsize = handle.itemsize
         # Span refinement: when the random-access indices are known, the
         # effective working set is the index *span*, not the whole array --
         # road-network neighbors cluster near their vertex, so their state
         # stays cache-resident even though the full array would not.
-        if mode == "rand" and idx is not None and not np.isscalar(idx):
+        # ``_count(idx, None)`` is the number of indices ``idx`` names.
+        if mode == "rand" and type(idx) is not int and _count(idx, None) > 1:
             arr = np.asarray(idx)
-            if arr.size > 1:
-                span = int(arr.max() - arr.min() + 1) * handle.itemsize
-                nbytes = min(nbytes, max(span, handle.itemsize))
-        acc = self._acc_for(self.counters)
-        q = self._QUANTUM
-        if mode == "seq":
-            lines = n * handle.itemsize / self._line
-            ql = int(np.rint(lines * q))
-            if nbytes > self.hier.l1.size_bytes:
-                acc[0] += ql
-            if nbytes > self.hier.l2.size_bytes:
-                acc[1] += ql
-            if nbytes > self.hier.l3.size_bytes:
-                acc[2] += ql
-            pages = n * handle.itemsize / _PAGE
-            if nbytes > self.hier.tlb.entries * self.hier.tlb.page_bytes:
-                acc[3] += int(np.rint(pages * q))
+            span = int(arr.max() - arr.min() + 1) * itemsize
+            inc = self._increments(min(handle.nbytes, max(span, itemsize)),
+                                   itemsize, n, mode)
         else:
-            acc[0] += int(np.rint(
-                n * max(0.0, 1.0 - self.hier.l1.size_bytes / nbytes) * q))
-            acc[1] += int(np.rint(
-                n * max(0.0, 1.0 - self.hier.l2.size_bytes / nbytes) * q))
-            acc[2] += int(np.rint(
-                n * max(0.0, 1.0 - self.hier.l3.size_bytes / nbytes) * q))
-            tlb_reach = self.hier.tlb.entries * self.hier.tlb.page_bytes
-            acc[3] += int(np.rint(
-                n * max(0.0, 1.0 - tlb_reach / nbytes) * q))  # span-refined
-        self._flush(acc)
+            key = (handle.size, itemsize, n, mode)
+            inc = self._memo.get(key)
+            if inc is None:
+                inc = self._memo[key] = self._increments(
+                    handle.nbytes, itemsize, n, mode)
+        acc[0] += inc[0]
+        acc[1] += inc[1]
+        acc[2] += inc[2]
+        acc[3] += inc[3]
+        grid = self._GRID
+        if (acc[0] >= grid or acc[1] >= grid or acc[2] >= grid
+                or acc[3] >= grid):
+            self._flush(acc)
 
     def touch_batch(self, handle: ArrayHandle, *, mode: str, counts,
                     idx=None, seg=None) -> None:
@@ -334,19 +370,20 @@ class CountingMemory(MemoryModel):
         if counts.size == 0:
             return
         acc = self._acc_for(self.counters)
-        q = self._QUANTUM
+        q = self._GRID
         if mode == "seq":
             nbytes = handle.nbytes
+            l1, l2, l3, tlb_reach = self._caps
             lines = (counts * handle.itemsize) / self._line
             ql = int(np.rint(lines * q).astype(np.int64).sum())
-            if nbytes > self.hier.l1.size_bytes:
+            if nbytes > l1:
                 acc[0] += ql
-            if nbytes > self.hier.l2.size_bytes:
+            if nbytes > l2:
                 acc[1] += ql
-            if nbytes > self.hier.l3.size_bytes:
+            if nbytes > l3:
                 acc[2] += ql
             pages = (counts * handle.itemsize) / _PAGE
-            if nbytes > self.hier.tlb.entries * self.hier.tlb.page_bytes:
+            if nbytes > tlb_reach:
                 acc[3] += int(np.rint(pages * q).astype(np.int64).sum())
         else:
             nb = np.full(counts.size, handle.nbytes, dtype=np.int64)
@@ -368,11 +405,7 @@ class CountingMemory(MemoryModel):
                         multi = sizes[nz] > 1
                         nb[np.flatnonzero(nz)[multi]] = eff[multi]
             nbf = nb.astype(np.float64)
-            tlb_reach = self.hier.tlb.entries * self.hier.tlb.page_bytes
-            for slot, cap in ((0, self.hier.l1.size_bytes),
-                              (1, self.hier.l2.size_bytes),
-                              (2, self.hier.l3.size_bytes),
-                              (3, tlb_reach)):
+            for slot, cap in enumerate(self._caps):
                 frac = np.maximum(0.0, 1.0 - cap / nbf)
                 acc[slot] += int(np.rint((counts * frac) * q)
                                  .astype(np.int64).sum())
@@ -380,14 +413,17 @@ class CountingMemory(MemoryModel):
 
     @staticmethod
     def _flush(acc: list) -> None:
+        """Move every slot's whole misses into the lane's counters."""
         counters: PerfCounters = acc[4]
-        grid = int(CountingMemory._QUANTUM)
-        for slot, attr in ((0, "l1_misses"), (1, "l2_misses"), (2, "l3_misses"),
-                           (3, "tlb_d_misses")):
-            whole = acc[slot] // grid
-            if whole:
-                setattr(counters, attr, getattr(counters, attr) + int(whole))
-                acc[slot] -= whole * grid
+        grid = CountingMemory._GRID
+        l1, acc[0] = divmod(acc[0], grid)
+        l2, acc[1] = divmod(acc[1], grid)
+        l3, acc[2] = divmod(acc[2], grid)
+        tlb, acc[3] = divmod(acc[3], grid)
+        counters.l1_misses += l1
+        counters.l2_misses += l2
+        counters.l3_misses += l3
+        counters.tlb_d_misses += tlb
 
 
 class CacheSimMemory(MemoryModel):

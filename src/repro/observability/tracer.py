@@ -203,17 +203,15 @@ class Tracer:
         if self.wallclock is not None:
             self.wallclock.on_event(ev)
 
-    def _lanes(self) -> list[float]:
-        """Per-rank progress (mtu) within the open superstep."""
-        m = self.rt.machine
-        return [m.time(c) - b for c, b
-                in zip(self.rt.proc_counters, self._ss_befores)]
-
     def _now(self, lane: int | None) -> float:
-        """Simulated timestamp for an instant event on ``lane``."""
+        """Simulated timestamp for an instant event on ``lane``: the
+        superstep's start plus the rank's progress (mtu) within it."""
         if lane is None or not self._ss_befores:
             return self.rt.time
-        return self._ss_t0 + max(0.0, self._lanes()[lane])
+        rt = self.rt
+        progress = (rt.machine.time(rt.proc_counters[lane])
+                    - self._ss_befores[lane])
+        return self._ss_t0 + max(0.0, progress)
 
     # -- shared-memory hooks ---------------------------------------------------------
     def on_region(self, label: str, start: float, span: float,

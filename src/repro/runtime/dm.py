@@ -126,7 +126,7 @@ class DMRuntime:
         self._label = label
 
     def reset(self) -> None:
-        """Clear counters, time, and mailboxes between runs.
+        """Clear counters, miss residues, time, and mailboxes between runs.
 
         Rebinds memory accounting to process 0 -- without this, events
         issued between runs land on whichever process happened to
@@ -135,6 +135,7 @@ class DMRuntime:
         """
         for c in self.proc_counters:
             c.reset()
+        self.mem.clear_residues(self.proc_counters)
         self.time = 0.0
         self.superstep_index = 0
         self._rank = None

@@ -91,9 +91,11 @@ class SMRuntime:
         self._label = label
 
     def reset(self) -> None:
-        """Clear counters and time (the memory model keeps its caches warm)."""
+        """Clear counters, time and the memory model's miss residues
+        (a cache simulator keeps its caches warm)."""
         for c in self.thread_counters:
             c.reset()
+        self.mem.clear_residues(self.thread_counters)
         self.time = 0.0
         self.region_count = 0
         # rebind accounting to thread 0: without this, events issued

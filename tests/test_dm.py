@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.dm_bfs import dm_bfs
 from repro.algorithms.dm_pagerank import dm_pagerank
 from repro.algorithms.dm_triangle import dm_triangle_count
 from repro.algorithms.reference import (
     pagerank_reference, triangle_per_vertex_reference,
 )
+from repro.generators.erdos_renyi import erdos_renyi
 from repro.machine.cost_model import XC40
 from repro.runtime.dm import DMRuntime
 
@@ -184,6 +186,18 @@ class TestDMPrimitives:
         rt.mem.read(h, count=4)
         assert rt.proc_counters[0].reads > 0
         assert rt.proc_counters[1].reads == 0
+
+    def test_rerun_after_reset_is_exact(self):
+        """reset() also drops the memory model's sub-miss residues, so a
+        rerun on the reset runtime reproduces the first run exactly."""
+        g = erdos_renyi(1000, 8.0, seed=3)
+        rt = make_dm(g.n)
+        runs = []
+        for _ in range(2):
+            dm_bfs(g, rt, 0, variant="pull")
+            runs.append(([c.copy() for c in rt.proc_counters], rt.time))
+            rt.reset()
+        assert runs[1] == runs[0]
 
 
 class TestDMPageRank:

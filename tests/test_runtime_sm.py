@@ -132,6 +132,19 @@ class TestSMRuntime:
         assert rt.thread_counters[0].reads == 7
         assert all(c.reads == 0 for c in rt.thread_counters[1:])
 
+    def test_rerun_after_reset_is_exact(self, er_graph):
+        """reset() also drops the memory model's sub-miss residues, so a
+        rerun on the reset runtime reproduces the first run exactly."""
+        from repro.algorithms import pagerank
+
+        rt = make_runtime(er_graph, P=4)
+        runs = []
+        for _ in range(2):
+            pagerank(er_graph, rt, direction="pull", iterations=2)
+            runs.append(([c.copy() for c in rt.thread_counters], rt.time))
+            rt.reset()
+        assert runs[1] == runs[0]
+
     def test_reset_rearms_tracer_sinks(self, er_graph, tmp_path):
         """reset() must reset attached sink state, not just the
         tracer's own baselines: the buffer clears, the rollup
