@@ -98,3 +98,28 @@ def gather_edge_positions(offsets: np.ndarray, vs: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     heads = np.repeat(offsets[vs] - np.r_[0, np.cumsum(counts)[:-1]], counts)
     return heads + np.arange(total, dtype=np.int64)
+
+
+def gather_rows(g: CSRGraph, vs: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``vs`` of ``g`` laid end to end: ``(starts, nbrs, seg)`` --
+    each row's first adjacency position, the rows' neighbours, and the
+    row offsets into ``nbrs`` (``len(seg) == len(vs) + 1``)."""
+    starts = g.offsets[vs].astype(np.int64)
+    deg = g.offsets[vs + 1].astype(np.int64) - starts
+    nbrs = g.adj[gather_edge_positions(g.offsets, vs)]
+    return starts, nbrs, np.r_[0, np.cumsum(deg)]
+
+
+def first_hits(nbrs: np.ndarray, seg: np.ndarray, hit_rel: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outcome of the early-exit scan of the rows ``seg`` tiles over
+    ``nbrs``, given each row's first-hit offset (-1 when none, as
+    :func:`repro.la.spmv.masked_first_hit` returns it): ``(scanned,
+    hits, hit_w)`` -- how many neighbours each row reads, up to and
+    including its hit; which rows hit; and the neighbour each hitting
+    row stopped at."""
+    hits = hit_rel >= 0
+    scanned = np.where(hits, hit_rel + 1, np.diff(seg))
+    hit_w = nbrs[seg[:-1][hits] + hit_rel[hits]].astype(np.int64)
+    return scanned, hits, hit_w

@@ -10,8 +10,10 @@ module implements the three variants over the Message-Passing backend:
 * **pull (bottom-up)**: every rank needs the *global* frontier to test
   "is one of my unvisited vertices' neighbors in F?", so each level
   allgathers a frontier bitmap (modeled as the P-message exchange it
-  is) and then scans locally with early exit.  Cheap per level when
-  the frontier is huge, wasteful when it is thin.
+  is) and then scans locally with early exit -- one masked first-hit
+  pass per rank (:func:`~repro.la.spmv.masked_first_hit`, the SpMSpV
+  early exit of the batched SM kernel).  Cheap per level when the
+  frontier is huge, wasteful when it is thin.
 * **switching**: the Beamer policy of
   :class:`repro.strategies.switching.SwitchPolicy` applied to the DM
   cost structure -- top-down while the frontier is thin, bottom-up at
@@ -27,11 +29,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.algorithms.common import gather_edge_positions
+from repro.algorithms.common import (
+    first_hits, gather_edge_positions, gather_rows,
+)
 from repro.graph.csr import CSRGraph
+from repro.la.spmv import masked_first_hit
 from repro.machine.counters import PerfCounters
 from repro.runtime.dm import DMRuntime
 from repro.strategies.switching import SwitchPolicy
+from repro.streams.memory import StreamMemory
+from repro.streams.ops import rand_op, seq_op
 
 PUSH = "push"
 PULL = "pull"
@@ -213,24 +220,25 @@ def _level_pull(g, rt, mem, off_h, adj_h, par_h, owner, parent, level,
             return
         mem.read(par_h, start=int(vs[0]), count=len(vs), mode="seq")
         unvisited = vs[parent[vs] < 0]
-        mine: list[int] = []
-        for v in unvisited:
-            o0, o1 = int(g.offsets[v]), int(g.offsets[v + 1])
-            nbrs = g.adj[o0:o1]
-            mem.read(off_h, idx=int(v), count=2, mode="rand")
-            if len(nbrs) == 0:
-                continue
-            flags = in_front[nbrs]
-            hit = int(np.argmax(flags)) if flags.any() else -1
-            scanned = (hit + 1) if hit >= 0 else len(nbrs)
-            mem.read(adj_h, start=o0, count=scanned)
-            if hit >= 0:
-                parent[v] = int(nbrs[hit])
-                level[v] = depth
-                mem.write(par_h, idx=int(v), mode="rand")
-                mine.append(int(v))
-        if mine:
-            found.append(np.asarray(mine, dtype=np.int64))
+        if len(unvisited) == 0:
+            return
+        # the per-vertex early-exit scan as one masked first-hit pass
+        starts, nbrs, seg = gather_rows(g, unvisited)
+        scanned, hits, hit_w = first_hits(
+            nbrs, seg, masked_first_hit(in_front[nbrs], seg))
+        hit_vs = unvisited[hits]
+        StreamMemory(mem).replay([
+            rand_op("read", off_h, idx=unvisited,
+                    seg=np.arange(len(unvisited) + 1, dtype=np.int64),
+                    counts=np.full(len(unvisited), 2, dtype=np.int64)),
+            seq_op("read", adj_h, counts=scanned, starts=starts),
+            rand_op("write", par_h, idx=hit_vs,
+                    seg=np.r_[0, np.cumsum(hits, dtype=np.int64)]),
+        ], interleave=True)
+        if len(hit_vs):
+            parent[hit_vs] = hit_w
+            level[hit_vs] = depth
+            found.append(hit_vs)
 
     rt.superstep(scan)
     if found:

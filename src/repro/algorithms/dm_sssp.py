@@ -14,6 +14,15 @@ directions over the Message-Passing backend:
   inner iteration because unsettled vertices must re-examine the
   current bucket (the DM face of pull's rescan overhead).
 
+The pull relaxation sweeps a rank's unsettled vertices in ascending
+order, and a vertex reads the (dist, bucket) that earlier owned
+vertices of the same sweep just wrote: a Gauss-Seidel sweep, not a
+Jacobi one.  :class:`_PullSweep` computes it array-at-a-time -- one
+Jacobi pass over all vertices, then an ordered repair that recomputes
+exactly the vertices an earlier update reached -- and reproduces the
+sequential sweep exactly (values, flops, and the memory call order it
+replays through :class:`~repro.streams.memory.StreamMemory`).
+
 The paper's Section 6.5 observes that on shared memory push wins
 because intra-node atomics are cheap, "surprisingly different from the
 variant for the DM machines presented in the literature, where pulling
@@ -25,6 +34,7 @@ message-count asymmetry rather than a time winner.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +43,8 @@ from repro.algorithms.common import gather_edge_positions
 from repro.graph.csr import CSRGraph
 from repro.machine.counters import PerfCounters
 from repro.runtime.dm import DMRuntime
+from repro.streams.memory import StreamMemory
+from repro.streams.ops import rand_op, seq_op
 
 _NO_BUCKET = np.iinfo(np.int64).max // 2
 
@@ -212,43 +224,38 @@ def dm_sssp_delta(g: CSRGraph, rt: DMRuntime, source: int,
                 refill = np.zeros(n, dtype=bool)
 
                 def relax_local(p: int) -> None:
-                    remote_dist = {}
-                    remote_b = {}
-                    for _, payload in rt.inbox("rep"):
-                        ids, ds, bs = payload
-                        for i, dd, bb in zip(ids, ds, bs):
-                            remote_dist[int(i)] = float(dd)
-                            remote_b[int(i)] = int(bb)
+                    replies = [payload for _, payload in rt.inbox("rep")]
                     vs = rt.owned(p)
                     unsettled = vs[dist[vs] > b * delta]
-                    for v in unsettled:
-                        o0, o1 = int(g.offsets[v]), int(g.offsets[v + 1])
-                        nbrs = g.adj[o0:o1]
-                        mem.read(off_h, idx=int(v), count=2, mode="rand")
-                        mem.read(adj_h, start=o0, count=o1 - o0)
-                        mem.branch_cond(o1 - o0)
-                        best = dist[v]
-                        for i, w in enumerate(nbrs):
-                            w = int(w)
-                            if owner[w] == p:
-                                dw, bw = dist[w], bidx[w]
-                                mem.read(dist_h, idx=w, mode="rand")
-                            elif w in remote_dist:
-                                dw, bw = remote_dist[w], remote_b[w]
-                            else:
-                                continue
-                            if bw == b:
-                                cand = dw + weights[o0 + i]
-                                mem.flop(1)
-                                if cand < best:
-                                    best = cand
-                        if best < dist[v]:
-                            dist[v] = best
-                            new_b = int(best // delta)
-                            bidx[v] = new_b
-                            mem.write(dist_h, idx=int(v), mode="rand")
-                            if new_b == b:
-                                refill[v] = True
+                    if len(unsettled) == 0:
+                        return
+                    pos = gather_edge_positions(g.offsets, unsettled)
+                    nbrs = g.adj[pos].astype(np.int64)
+                    own = owner[nbrs] == p
+                    sw = _PullSweep(g.offsets, unsettled, nbrs, own,
+                                    weights[pos], replies, dist, bidx, b)
+                    written, flops = sw.run(delta)
+                    back = unsettled[written]
+                    refill[back[bidx[back] == b]] = True
+                    k = len(unsettled)
+                    StreamMemory(mem).replay([
+                        rand_op("read", off_h, idx=unsettled,
+                                seg=np.arange(k + 1, dtype=np.int64),
+                                counts=np.full(k, 2, dtype=np.int64)),
+                        seq_op("read", adj_h, counts=np.diff(sw.seg),
+                               starts=g.offsets[unsettled]),
+                        # one scalar call per owned neighbour, in its
+                        # reader's slot
+                        rand_op("read", dist_h, idx=nbrs[own],
+                                seg=np.arange(int(own.sum()) + 1,
+                                              dtype=np.int64),
+                                groups=sw.slot[own]),
+                        rand_op("write", dist_h, idx=back,
+                                seg=np.arange(len(back) + 1, dtype=np.int64),
+                                groups=written),
+                    ], interleave=True)
+                    mem.branch_cond(len(nbrs))
+                    mem.flop(flops)
 
                 rt.superstep(relax_local)
                 active_mask = refill
@@ -265,3 +272,121 @@ def dm_sssp_delta(g: CSRGraph, rt: DMRuntime, source: int,
         inner_iterations=inner_total,
         messages=c.messages,
     )
+
+
+class _PullSweep:
+    """One rank's ``relax_local`` sweep, computed array-at-a-time.
+
+    The interpreted sweep visits the rank's unsettled vertices in
+    ascending order, and each vertex reads the (dist, bucket) of its
+    owned neighbours *as earlier vertices of the same sweep left them*
+    (Gauss-Seidel).  The constructor evaluates every vertex against the
+    pre-sweep state instead (Jacobi): ``best[k]`` and the in-bucket
+    mask ``inb`` whose count is the flop count.  :meth:`run` repairs
+    that pass exactly, see there.
+    """
+
+    def __init__(self, offsets: np.ndarray, unsettled: np.ndarray,
+                 nbrs: np.ndarray, own: np.ndarray, w: np.ndarray,
+                 replies: list, dist: np.ndarray, bidx: np.ndarray,
+                 b: int) -> None:
+        self.unsettled, self.dist, self.bidx, self.b = unsettled, dist, bidx, b
+        self.nbrs, self.own, self.w = nbrs, own, w
+        deg = offsets[unsettled + 1] - offsets[unsettled]
+        self.seg = np.r_[0, np.cumsum(deg)]
+        self.slot = np.repeat(np.arange(len(unsettled), dtype=np.int64), deg)
+        # owned state first, then the last reply for the id (inbox
+        # order, as a dict fold keeps it), else the neighbour is unknown
+        self.known = known = own.copy()
+        self.nd = nd = np.zeros(len(nbrs))
+        self.nb = nb = np.zeros(len(nbrs), dtype=np.int64)
+        nd[own] = dist[nbrs[own]]
+        nb[own] = bidx[nbrs[own]]
+        rem = np.flatnonzero(~own)
+        if replies and len(rem):
+            ids, ds, bs = (np.concatenate(col) for col in zip(*replies))
+            order = np.argsort(ids, kind="stable")
+            ids, ds, bs = ids[order], ds[order], bs[order]
+            last = np.r_[ids[1:] != ids[:-1], True]
+            ids, ds, bs = ids[last], ds[last], bs[last]
+            j = np.minimum(np.searchsorted(ids, nbrs[rem]), len(ids) - 1)
+            hit = ids[j] == nbrs[rem]
+            rem, j = rem[hit], j[hit]
+            known[rem] = True
+            nd[rem], nb[rem] = ds[j], bs[j]
+        self.inb = inb = known & (nb == b)
+        cand = np.full(len(nbrs), np.inf)
+        cand[inb] = nd[inb] + w[inb]
+        self.best = best = dist[unsettled].copy()
+        nz = deg > 0
+        if nz.any():
+            best[nz] = np.minimum(best[nz], np.minimum.reduceat(
+                cand, self.seg[:-1][nz]))
+
+    def recompute(self, k: int) -> tuple[float, int]:
+        """Vertex ``k``'s best distance and flop count from live state."""
+        lo, hi = int(self.seg[k]), int(self.seg[k + 1])
+        own, nbrs = self.own[lo:hi], self.nbrs[lo:hi]
+        nd, nb = self.nd[lo:hi].copy(), self.nb[lo:hi].copy()
+        nd[own] = self.dist[nbrs[own]]
+        nb[own] = self.bidx[nbrs[own]]
+        m = self.known[lo:hi] & (nb == self.b)
+        best = self.dist[self.unsettled[k]]
+        if m.any():
+            best = min(best, (nd[m] + self.w[lo:hi][m]).min())
+        return best, int(m.sum())
+
+    def run(self, delta: float) -> tuple[np.ndarray, int]:
+        """Apply the sweep's updates to ``dist``/``bidx`` in sweep order;
+        return the updated positions (ascending) and the flop count.
+
+        A vertex none of whose earlier owned neighbours was updated
+        reads exactly the pre-sweep state, so its Jacobi value is exact
+        (clean).  The sweep's first update is therefore a Jacobi
+        update.  A heap holds the Jacobi updates plus every vertex
+        dirtied so far, popped in ascending position: a dirty vertex is
+        recomputed from live state (its flops counted again), a clean
+        one takes its Jacobi value, and every update dirties the later
+        vertices of the sweep that read it.  Exact for any weights: no
+        assumption on how an update moves a bucket.
+        """
+        unsettled, dist, bidx = self.unsettled, self.dist, self.bidx
+        flops = int(self.inb.sum())
+        heap = np.flatnonzero(self.best < dist[unsettled]).tolist()
+        if not heap:
+            return np.empty(0, dtype=np.int64), flops
+        # readers[roff[k]:roff[k + 1]]: later sweep positions that read
+        # the vertex at position k
+        e = np.flatnonzero(self.own)
+        j = np.searchsorted(unsettled, self.nbrs[e])
+        jc = np.minimum(j, len(unsettled) - 1)
+        dep = (unsettled[jc] == self.nbrs[e]) & (j < self.slot[e])
+        src = j[dep]
+        order = np.argsort(src, kind="stable")
+        readers = self.slot[e][dep][order].tolist()
+        roff = np.searchsorted(src[order],
+                               np.arange(len(unsettled) + 1)).tolist()
+        seg, inb = self.seg, self.inb
+        dirty = bytearray(len(unsettled))
+        written: list[int] = []
+        last = -1
+        while heap:
+            k = heapq.heappop(heap)
+            if k == last:
+                continue
+            last = k
+            if dirty[k]:
+                best, live = self.recompute(k)
+                flops += live - int(inb[seg[k]:seg[k + 1]].sum())
+            else:
+                best = self.best[k]
+            v = int(unsettled[k])
+            if best < dist[v]:
+                dist[v] = best
+                bidx[v] = int(best // delta)
+                written.append(k)
+                for r in readers[roff[k]:roff[k + 1]]:
+                    if not dirty[r]:
+                        dirty[r] = 1
+                        heapq.heappush(heap, r)
+        return np.asarray(written, dtype=np.int64), flops

@@ -881,18 +881,29 @@ class PhaseScan(BranchVisitor):
                 self._note_rt(node, f.attr)
         elif (isinstance(f, ast.Name) and f.id in ("rand_op", "seq_op")
                 and node.args and isinstance(node.args[0], ast.Constant)
-                and node.args[0].value in STORE_DECLS):
+                and node.args[0].value in STORE_DECLS | {"read"}):
             # stream-op constructors (repro.streams.ops): the verb is
-            # the first positional arg; a store verb declares the store
-            # just like the equivalent mem.<verb> call would
-            self.decls.append((node.args[0].value, node.lineno, self.ctx,
-                               False, self._lambdas > 0))
+            # the first positional arg and the handle the second; the
+            # op is the access the equivalent mem.<verb> call would make
+            verb = node.args[0].value
+            if verb in STORE_DECLS:
+                self.decls.append((verb, node.lineno, self.ctx, False,
+                                   self._lambdas > 0))
+            if len(node.args) > 1:
+                idx = (node.args[2] if f.id == "rand_op"
+                       and len(node.args) > 2 else None)
+                self._note_mem(node, verb, node.args[1], idx)
         self.generic_visit(node)
 
-    def _note_mem(self, node: ast.Call, verb: str) -> None:
-        arrays = self._handle_names(node.args[0])
+    def _note_mem(self, node: ast.Call, verb: str,
+                  handle: ast.AST | None = None,
+                  idx: ast.AST | None = None) -> None:
+        """One access: ``mem.<verb>(handle, idx=...)``, or a stream op
+        whose ``handle`` and positional ``idx`` the caller passes."""
+        arrays = self._handle_names(node.args[0] if handle is None
+                                    else handle)
         kw = {k.arg: k.value for k in node.keywords}
-        idx = kw.get("idx")
+        idx = kw.get("idx", idx)
         prov = self.prov(idx) if idx is not None else "block"
         covers: list[str] = []
         cov = kw.get("covers")

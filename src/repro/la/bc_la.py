@@ -20,11 +20,14 @@ is reduced independently), per Section 7.1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.graph.csr import CSRGraph
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass
@@ -36,6 +39,10 @@ class BCLAResult:
 
 
 def _adjacency(g: CSRGraph) -> sp.csr_matrix:
+    # scipy loads here, not at import: every ``repro.la`` import (the
+    # stream kernels', the DM pull scans') would otherwise pay for it
+    import scipy.sparse as sp
+
     indptr = g.offsets.astype(np.int64)
     return sp.csr_matrix(
         (np.ones(len(g.adj)), g.adj.astype(np.int64), indptr),

@@ -153,22 +153,26 @@ class MemoryModel:
     # or ``start``+``count`` for a streaming range, or just ``count`` when
     # the position is immaterial (analytic mode).
 
+    def _access(self, handle: ArrayHandle, idx, count, mode: str,
+                start) -> int:
+        """Items named by one verb call, after its cache accounting.
+
+        ``cached`` data is known to be resident (e.g. binary-search
+        probes into a just-scanned neighbor list): the access issues its
+        instructions but never misses, whatever the verb.
+        """
+        n = _count(idx, count)
+        if mode != "cached":
+            self._touch(handle, idx, n, mode, start)
+        return n
+
     def read(self, handle: ArrayHandle, idx=None, count: int | None = None,
              mode: str = "seq", start: int | None = None) -> None:
-        n = _count(idx, count)
-        self.counters.reads += n
-        if mode == "cached":
-            # a re-read of data known to be resident (e.g. binary-search
-            # probes into a just-scanned neighbor list): issues the load
-            # instruction but never misses
-            return
-        self._touch(handle, idx, n, mode, start)
+        self.counters.reads += self._access(handle, idx, count, mode, start)
 
     def write(self, handle: ArrayHandle, idx=None, count: int | None = None,
               mode: str = "seq", start: int | None = None) -> None:
-        n = _count(idx, count)
-        self.counters.writes += n
-        self._touch(handle, idx, n, mode, start)
+        self.counters.writes += self._access(handle, idx, count, mode, start)
 
     def faa(self, handle: ArrayHandle, idx=None, count: int | None = None,
             mode: str = "rand", start: int | None = None,
@@ -180,7 +184,7 @@ class MemoryModel:
         :meth:`lock`) declares sibling addresses the atomic protects;
         it costs nothing here and is read by the race detector.
         """
-        n = _count(idx, count)
+        n = self._access(handle, idx, count, mode, start)
         c = self.counters
         c.atomics += n
         c.faa += n
@@ -189,7 +193,6 @@ class MemoryModel:
         c.reads += n
         c.writes += n
         c.branches_uncond += n  # the locked-instruction dispatch, as counted in [50]
-        self._touch(handle, idx, n, mode, start)
 
     def cas(self, handle: ArrayHandle, idx=None, count: int | None = None,
             successes: int | None = None, mode: str = "rand",
@@ -201,7 +204,7 @@ class MemoryModel:
         plain writes ride on the successful CAS (e.g. a claimed slot's
         payload fields); cost-neutral, consumed by the race detector.
         """
-        n = _count(idx, count)
+        n = self._access(handle, idx, count, mode, start)
         c = self.counters
         c.atomics += n
         c.cas += n
@@ -212,7 +215,6 @@ class MemoryModel:
             successes = n
         c.writes += int(successes)
         c.branches_uncond += n
-        self._touch(handle, idx, n, mode, start)
 
     def lock(self, handle: ArrayHandle, idx=None, count: int | None = None,
              mode: str = "rand", start: int | None = None,
@@ -226,13 +228,12 @@ class MemoryModel:
         race detector uses it to tell protected plain writes from
         undeclared remote stores.
         """
-        n = _count(idx, count)
+        n = self._access(handle, idx, count, mode, start)
         c = self.counters
         c.locks += n
         c.reads += n   # lock word load
         c.writes += n  # lock word store
         c.branches_uncond += n
-        self._touch(handle, idx, n, mode, start)
 
     # -- non-memory events -------------------------------------------------------
     def branch_cond(self, n: int = 1) -> None:
@@ -322,6 +323,18 @@ class CountingMemory(MemoryModel):
         return tuple([int(np.rint(n * max(0.0, 1.0 - cap / nbytes) * q))
                       for cap in self._caps])
 
+    def _whole_increments(self, handle: ArrayHandle, n: int,
+                          mode: str) -> tuple:
+        """:meth:`_increments` of ``n`` accesses over all of ``handle``,
+        memoized per model; :meth:`_touch` and :meth:`touch_batch` share
+        the entries."""
+        key = (handle.size, handle.itemsize, n, mode)
+        inc = self._memo.get(key)
+        if inc is None:
+            inc = self._memo[key] = self._increments(
+                handle.nbytes, handle.itemsize, n, mode)
+        return inc
+
     def _touch(self, handle: ArrayHandle, idx, n: int, mode: str,
                start: int | None = None) -> None:
         acc = self._lane
@@ -339,11 +352,7 @@ class CountingMemory(MemoryModel):
             inc = self._increments(min(handle.nbytes, max(span, itemsize)),
                                    itemsize, n, mode)
         else:
-            key = (handle.size, itemsize, n, mode)
-            inc = self._memo.get(key)
-            if inc is None:
-                inc = self._memo[key] = self._increments(
-                    handle.nbytes, itemsize, n, mode)
+            inc = self._whole_increments(handle, n, mode)
         acc[0] += inc[0]
         acc[1] += inc[1]
         acc[2] += inc[2]
@@ -362,7 +371,9 @@ class CountingMemory(MemoryModel):
         mode, with its own index span (segments of size <= 1 use the
         whole array, like scalar-idx calls).  Contributions are
         quantized per segment before summation, so the totals equal the
-        per-call path bit for bit.
+        per-call path bit for bit.  When every segment is a whole-array
+        access of the same count, each contributes the memoized
+        increments of :meth:`_touch`.
         """
         if mode == "cached":
             return
@@ -371,7 +382,22 @@ class CountingMemory(MemoryModel):
             return
         acc = self._acc_for(self.counters)
         q = self._GRID
-        if mode == "seq":
+        c0 = int(counts[0])
+        if mode == "seq" or idx is None:
+            whole = True
+        elif seg is None:
+            whole = np.size(idx) <= 1
+        else:
+            whole = bool((np.diff(seg) <= 1).all())
+        if whole and (counts == c0).all():
+            # every segment is a whole-array access of c0 items
+            inc = self._whole_increments(handle, c0, mode)
+            k = counts.size
+            acc[0] += k * inc[0]
+            acc[1] += k * inc[1]
+            acc[2] += k * inc[2]
+            acc[3] += k * inc[3]
+        elif mode == "seq":
             nbytes = handle.nbytes
             l1, l2, l3, tlb_reach = self._caps
             lines = (counts * handle.itemsize) / self._line

@@ -20,7 +20,11 @@ when editing either.
 
 The DM kernels already emit their communication as per-superstep verb
 batches (``alltoallv``, staged RMA), so the batched engine treats DM
-cells as an (exact) passthrough -- see docs/streams.md.
+cells as an (exact) passthrough -- see docs/streams.md.  Their pull
+scans (DM BFS ``scan``, Δ-Stepping ``relax_local``) replay each rank's
+local traffic through one :class:`StreamMemory` stream per superstep
+under both engines; ``relax_local``'s per-neighbour scalar reads share
+their vertex's lockstep slot through the op's ``groups`` keys.
 """
 
 from __future__ import annotations
@@ -29,8 +33,8 @@ import numpy as np
 
 from repro.algorithms.bfs import BFSResult, BFSState
 from repro.algorithms.common import (
-    PULL, PUSH, GraphArrays, block_bounds, check_direction,
-    gather_edge_positions,
+    PULL, PUSH, GraphArrays, block_bounds, check_direction, first_hits,
+    gather_edge_positions, gather_rows,
 )
 from repro.algorithms.connected_components import CCResult
 from repro.algorithms.pagerank import PageRankResult
@@ -252,25 +256,18 @@ class BatchedBFSState(BFSState):
             mem.branch_cond(len(vs))
             if len(unvisited) == 0:
                 return
-            deg = (g.offsets[unvisited + 1]
-                   - g.offsets[unvisited]).astype(np.int64)
-            pos = gather_edge_positions(g.offsets, unvisited)
-            nbrs = g.adj[pos]
-            seg = np.r_[0, np.cumsum(deg)]
-            hit_rel = masked_first_hit(in_front[nbrs], seg)
+            starts, nbrs, seg = gather_rows(g, unvisited)
             # early exit: only the prefix up to the first hit is scanned
-            scanned = np.where(hit_rel >= 0, hit_rel + 1, deg)
+            scanned, hits, hit_w = first_hits(
+                nbrs, seg, masked_first_hit(in_front[nbrs], seg))
             pre = concat_ranges(seg[:-1], scanned)
-            hits = hit_rel >= 0
             hit_vs = unvisited[hits]
-            hit_w = nbrs[seg[:-1][hits] + hit_rel[hits]].astype(np.int64)
             seg_h = np.r_[0, np.cumsum(hits.astype(np.int64))]
             st.replay([
                 rand_op("read", self.ga_in.off, idx=unvisited,
                         seg=np.arange(len(unvisited) + 1, dtype=np.int64),
                         counts=np.full(len(unvisited), 2, dtype=np.int64)),
-                seq_op("read", self.ga_in.adj, counts=scanned,
-                       starts=g.offsets[unvisited].astype(np.int64)),
+                seq_op("read", self.ga_in.adj, counts=scanned, starts=starts),
                 rand_op("read", self.front_h, idx=nbrs[pre],
                         seg=np.r_[0, np.cumsum(scanned)]),
                 rand_op("write", self.parent_h, idx=hit_vs, seg=seg_h),

@@ -53,7 +53,9 @@ class StreamMemory:
         walks the ops' segments in lockstep (segment 0 of every op,
         then segment 1, ...), as a per-vertex loop touching several
         arrays does; the cache-simulator path preserves that address
-        order and the oracle path replays it call for call.
+        order and the oracle path replays it call for call.  An op's
+        ``groups`` keys replace the segment index as the lockstep key,
+        so one op can make several calls in one loop slot.
         """
         ops = [op for op in ops if op is not None]
         if not ops:
@@ -133,11 +135,14 @@ class StreamMemory:
     def _replay_elementwise(self, ops: list[StreamOp], interleave: bool) -> None:
         """Lower the stream back to per-segment MemoryModel calls."""
         if interleave:
-            nseg = max(op.nseg for op in ops)
-            for k in range(nseg):
-                for op in ops:
-                    if k < op.nseg:
-                        self._issue(op, k)
+            # stable: key first, then op issue order, then segment order
+            sizes = [op.nseg for op in ops]
+            keys = np.concatenate([op.segment_groups() for op in ops])
+            op_of = np.repeat(np.arange(len(ops)), sizes)
+            first = np.cumsum([0] + sizes)
+            for i in np.lexsort((op_of, keys)).tolist():
+                r = int(op_of[i])
+                self._issue(ops[r], i - int(first[r]))
         else:
             for op in ops:
                 for k in range(op.nseg):

@@ -21,7 +21,12 @@ Layout of one op:
   BFS's 2-item offset read at one scalar index);
 * ``successes`` -- per-segment CAS success counts (``None`` = all);
 * ``covers``    -- ``(handle, idx_array)`` pairs aligned with ``idx``
-  (same segmentation) declaring lock/CAS-protected sibling addresses.
+  (same segmentation) declaring lock/CAS-protected sibling addresses;
+* ``groups``    -- non-decreasing per-segment interleave keys (``None``
+  = the segment index).  Under ``interleave=True`` a replay walks the
+  ops key by key; several segments of one op that share a key are one
+  loop slot's scalar calls (a vertex's per-neighbour reads), issued in
+  segment order inside that slot.
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ class StreamOp:
     batched: bool = False
     successes: np.ndarray | None = None
     covers: list | None = None
+    groups: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.verb not in VERBS:
@@ -81,6 +87,8 @@ class StreamOp:
             self.starts = np.asarray(self.starts, dtype=np.int64)
         if self.successes is not None:
             self.successes = np.asarray(self.successes, dtype=np.int64)
+        if self.groups is not None:
+            self.groups = np.asarray(self.groups, dtype=np.int64)
 
     @property
     def nseg(self) -> int:
@@ -101,18 +109,25 @@ class StreamOp:
         items = concat_ranges(starts, self.counts)
         return self.handle.base + items * self.handle.itemsize
 
+    def segment_groups(self) -> np.ndarray:
+        """Interleave key of each segment (``groups`` or the index)."""
+        if self.groups is not None:
+            return self.groups
+        return np.arange(self.nseg, dtype=np.int64)
+
     def address_seg_ids(self) -> np.ndarray:
-        """Segment id of each address (for cross-op interleaving)."""
+        """Interleave key of each address (for cross-op interleaving)."""
         sizes = (np.diff(self.seg) if self.idx is not None else self.counts)
-        return np.repeat(np.arange(self.nseg, dtype=np.int64), sizes)
+        return np.repeat(self.segment_groups(), sizes)
 
 
 def rand_op(verb: str, handle: ArrayHandle, idx, seg=None, counts=None,
             batched: bool = False, successes=None, covers=None,
-            mode: str = "rand") -> StreamOp:
+            mode: str = "rand", groups=None) -> StreamOp:
     """An indexed-access op (one index list per segment)."""
     return StreamOp(verb, handle, mode=mode, idx=idx, seg=seg, counts=counts,
-                    batched=batched, successes=successes, covers=covers)
+                    batched=batched, successes=successes, covers=covers,
+                    groups=groups)
 
 
 def seq_op(verb: str, handle: ArrayHandle, counts, starts=None,

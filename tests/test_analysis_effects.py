@@ -302,6 +302,67 @@ def kernel(rt, mem, h):
         assert _rules(effects_source(src)) == []
 
 
+class TestStreamOps:
+    """A ``rand_op``/``seq_op`` in a stream replay is the access the
+    equivalent ``mem.<verb>`` call makes: same arrays, same index
+    provenance, same inferred direction."""
+
+    MEM = """
+def kernel(g, rt, mem, st, off_h, adj_h, dist_h, lvl_h):
+    def relax(p):
+        vs = rt.owned(p)
+        nbrs = g.adj[vs]
+        mem.read(off_h, idx=vs, count=2, mode="rand")
+        mem.read(adj_h, start=0, count=len(nbrs))
+        mem.read(dist_h, idx=nbrs, mode="rand")
+        mem.write(dist_h, idx=vs, mode="rand")
+{extra_mem}
+    rt.superstep(relax)
+"""
+    STREAM = """
+def kernel(g, rt, mem, st, off_h, adj_h, dist_h, lvl_h):
+    def relax(p):
+        vs = rt.owned(p)
+        nbrs = g.adj[vs]
+        st.replay([
+            rand_op("read", off_h, idx=vs, counts=[2]),
+            seq_op("read", adj_h, counts=[len(nbrs)], starts=[0]),
+            rand_op("read", dist_h, nbrs),
+            rand_op("write", dist_h, idx=vs),
+{extra_stream}
+        ])
+    rt.superstep(relax)
+"""
+
+    @staticmethod
+    def _signature(src):
+        phase = effects_source(src).kernels["kernel"].phases[0].to_json()
+        phase.pop("line")
+        for atomic in phase["atomics"]:
+            atomic.pop("line")
+        return phase
+
+    def test_pull_twin(self):
+        mem = self._signature(self.MEM.format(extra_mem=""))
+        stream = self._signature(self.STREAM.format(extra_stream=""))
+        assert mem["inferred"] == "pull"
+        assert mem["reads"] == ["adj_h", "dist_h", "off_h"]
+        assert stream == mem
+
+    def test_push_twin_with_covers(self):
+        mem = self._signature(self.MEM.format(
+            extra_mem="        mem.cas(lvl_h, idx=nbrs, "
+                      "covers=[(dist_h, nbrs)])"))
+        stream = self._signature(self.STREAM.format(
+            extra_stream="            rand_op(\"cas\", lvl_h, nbrs, "
+                         "covers=[(dist_h, nbrs)]),"))
+        assert mem["inferred"] == "push"
+        assert mem["atomics"] == [{"verb": "cas", "arrays": ["lvl_h"],
+                                   "index": "neighbor",
+                                   "verdict": "needed"}]
+        assert stream == mem
+
+
 class TestReconciliation:
     def test_static_write_sets_cover_dynamic_traces(self, report):
         from repro.observability.footprint import reconcile_effects

@@ -1,5 +1,10 @@
 """Tests for the linear-algebra layer (Section 7.1)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,3 +148,16 @@ class TestAlgebraicAlgorithms:
             bfs_la(tiny_graph, 0, layout="coo")
         with pytest.raises(ValueError):
             bellman_ford_la(tiny_graph, 0, layout="coo")
+
+
+def test_import_leaves_scipy_unloaded():
+    """``repro.la`` (and the kernels importing it) load scipy only when
+    ``bc_la`` builds a sparse matrix."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, repro.la, repro.algorithms.dm_bfs, "
+            "repro.streams.kernels; "
+            "print('scipy.sparse' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -238,6 +238,57 @@ def test_touch_batch_lands_on_the_same_totals(hier_name, seed):
     assert _residues(batched, batch_lanes) == _residues(calls, call_lanes)
 
 
+@pytest.mark.parametrize("hier_name", sorted(HIERARCHIES))
+@pytest.mark.parametrize("seed", range(4))
+def test_whole_array_ops_match_per_call(hier_name, seed):
+    """``touch_batch`` ops whose every segment is a whole-array access
+    (no ``idx``, or at most one index per segment) against one per-call
+    ``_touch`` per segment, with scalar verb calls in between: uniform
+    counts take the memoized fast path, mixed counts the general one.
+    Counters and residues must agree after every op."""
+    hier = HIERARCHIES[hier_name]
+    rng = np.random.default_rng(200 + seed)
+    fast, ref = CountingMemory(hier), ReferenceCounting(hier)
+    fast_h, ref_h = _register(fast, hier), _register(ref, hier)
+    fast_lanes = [PerfCounters() for _ in range(N_LANES)]
+    ref_lanes = [PerfCounters() for _ in range(N_LANES)]
+    fast.set_counters(fast_lanes[0])
+    ref.set_counters(ref_lanes[0])
+    for step in range(400):
+        if rng.random() < 0.1:
+            lane = int(rng.integers(N_LANES))
+            fast.set_counters(fast_lanes[lane])
+            ref.set_counters(ref_lanes[lane])
+        k = int(rng.integers(len(fast_h)))
+        mode = str(rng.choice(["seq", "rand"]))
+        if rng.random() < 0.3:
+            # a scalar call, so the memo holds entries of both paths
+            n = int(rng.integers(1, 5))
+            fast.read(fast_h[k], count=n, mode=mode)
+            ref.read(ref_h[k], count=n, mode=mode)
+            continue
+        nseg = int(rng.integers(1, 30))
+        if rng.random() < 0.6:
+            counts = np.full(nseg, int(rng.integers(0, 5)), dtype=np.int64)
+        else:
+            counts = rng.integers(0, 5, nseg)
+        idx = seg = None
+        if mode == "rand" and rng.random() < 0.7:
+            sizes = (np.ones(nseg, dtype=np.int64) if rng.random() < 0.5
+                     else rng.integers(0, 2, nseg))      # size 0 and 1
+            idx = rng.integers(0, fast_h[k].size, int(sizes.sum()))
+            seg = np.r_[0, np.cumsum(sizes)]
+        fast.touch_batch(fast_h[k], mode=mode, counts=counts, idx=idx,
+                         seg=seg)
+        for j, n in enumerate(counts.tolist()):
+            one = None if idx is None else idx[seg[j]:seg[j + 1]]
+            ref._touch(ref_h[k], one, n, mode)
+        assert [c.to_dict() for c in fast_lanes] == \
+            [c.to_dict() for c in ref_lanes], (step, mode, counts)
+        assert _residues(fast, fast_lanes) == _residues(ref, ref_lanes), \
+            (step, mode, counts)
+
+
 def test_flush_at_exact_grid():
     """A slot that reaches the grid exactly moves one whole miss."""
     mem = CountingMemory(SMALL)

@@ -161,6 +161,78 @@ class TestCacheSimEquivalence:
             a.addr([5, 6]), b.addr([1, 2]), a.addr([7]), b.addr([3])])
         assert np.array_equal(merged, expected)
 
+    def test_groups_key_the_lockstep_slots(self):
+        # op2 makes three scalar calls in slot 0 and one in slot 2: its
+        # segments follow op1's segment of the same key, in order
+        mem = CacheSimMemory(TINY)
+        a, b, _ = _register(mem)
+        op1 = rand_op("read", a, np.array([5, 6, 7]),
+                      seg=np.array([0, 1, 2, 3]))
+        op2 = rand_op("read", b, np.array([1, 2, 3, 4]),
+                      seg=np.arange(5), groups=np.array([0, 0, 0, 2]))
+        merged = StreamMemory(mem)._merged_addresses([op1, op2],
+                                                     interleave=True)
+        expected = np.concatenate([a.addr([5]), b.addr([1, 2, 3]),
+                                   a.addr([6]), a.addr([7]), b.addr([4])])
+        assert np.array_equal(merged, expected)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_grouped_replay_matches_lockstep_oracle(self, seed):
+        # per-vertex slots: one scalar offset read, a variable number of
+        # scalar state reads, and a write in some slots
+        rng = np.random.default_rng(3000 + seed)
+        fast, oracle = CacheSimMemory(TINY), OracleCacheSim(TINY)
+        frontier, state, adj = _register(fast)
+        _register(oracle)
+        nslot = int(rng.integers(1, 30))
+        per = rng.integers(0, 5, nslot)
+        wrote = np.flatnonzero(rng.random(nslot) < 0.5)
+        ops = [
+            rand_op("read", frontier, rng.integers(0, frontier.size, nslot),
+                    seg=np.arange(nslot + 1), counts=np.full(nslot, 2)),
+            rand_op("read", adj, rng.integers(0, adj.size, int(per.sum())),
+                    seg=np.arange(int(per.sum()) + 1),
+                    groups=np.repeat(np.arange(nslot), per)),
+            rand_op("write", state, rng.integers(0, state.size, len(wrote)),
+                    seg=np.arange(len(wrote) + 1), groups=wrote),
+        ]
+        StreamMemory(fast).replay(ops, interleave=True)
+        StreamMemory(oracle).replay(ops, interleave=True)
+        assert fast.counters.to_dict() == oracle.counters.to_dict()
+
+
+class TestCachedNeverMisses:
+    """``cached`` data is resident whatever the verb: the fast replay
+    paths skip it, and the per-call verbs of the oracle lowering must
+    agree."""
+
+    VERBS = ("read", "write", "faa", "cas", "lock")
+
+    @pytest.mark.parametrize("verb", VERBS)
+    @pytest.mark.parametrize("fast_cls, oracle_cls", [
+        (CountingMemory, OracleCounting), (CacheSimMemory, OracleCacheSim)])
+    def test_cached_op_same_on_every_path(self, verb, fast_cls, oracle_cls):
+        seen = []
+        for cls in (fast_cls, oracle_cls):
+            mem = cls(CacheHierarchySpec())
+            h = mem.register("big", 100_000, 8)           # 800 KB
+            StreamMemory(mem).replay([rand_op(
+                verb, h, [5, 7, 99999], seg=[0, 1, 2, 3], mode="cached")])
+            seen.append(mem.counters.to_dict())
+        assert seen[0] == seen[1]
+        assert seen[0]["l1_misses"] == seen[0]["tlb_d_misses"] == 0
+
+    @pytest.mark.parametrize("verb", VERBS)
+    @pytest.mark.parametrize("cls", [CountingMemory, CacheSimMemory])
+    def test_direct_cached_verb_charges_no_misses(self, verb, cls):
+        mem = cls(CacheHierarchySpec())
+        h = mem.register("big", 100_000, 8)
+        getattr(mem, verb)(h, idx=np.array([5, 7, 99999]), mode="cached")
+        d = mem.counters.to_dict()
+        assert (d["l1_misses"], d["l2_misses"], d["l3_misses"],
+                d["tlb_d_misses"]) == (0, 0, 0, 0)
+        assert d["reads"] + d["writes"] >= 3   # still issued
+
 
 class TestTallyRules:
     """Per-op counter deltas replicate the MemoryModel verb rules."""
