@@ -31,6 +31,7 @@ import numpy as np
 from repro.algorithms.common import (
     PULL, PUSH, AlgoResult, GraphArrays, check_direction, gather_edge_positions,
 )
+from repro.graph.builder import unique_ids
 from repro.graph.csr import CSRGraph
 from repro.runtime.sm import SMRuntime
 
@@ -142,7 +143,7 @@ def _forward(g, rt, mem, ga, s: int, sigma, level, sigma_h, level_h,
                 mem.read(level_h, idx=nbrs, mode="rand")
                 mem.branch_cond(len(nbrs))
                 fresh_mask = level[nbrs] < 0
-                fresh = np.unique(nbrs[fresh_mask])
+                fresh = unique_ids(nbrs[fresh_mask])
                 if len(fresh):
                     # claim with integer CAS
                     mem.cas(level_h, idx=nbrs[fresh_mask], successes=len(fresh),
@@ -183,7 +184,7 @@ def _forward(g, rt, mem, ga, s: int, sigma, level, sigma_h, level_h,
                 mem.read(sigma_h, idx=nbrs[parent_mask], mode="rand")
                 contrib = np.zeros(g.n)
                 np.add.at(contrib, owners[parent_mask], sigma[nbrs[parent_mask]])
-                reached = np.unique(owners[parent_mask])
+                reached = unique_ids(owners[parent_mask])
                 rt.owned_write_check(reached)
                 level[reached] = cur + 1
                 sigma[reached] = contrib[reached]
@@ -193,7 +194,7 @@ def _forward(g, rt, mem, ga, s: int, sigma, level, sigma_h, level_h,
                 nxt_frags.append(reached)
 
             rt.for_each_thread(body)
-        frontier = (np.unique(np.concatenate(nxt_frags))
+        frontier = (unique_ids(np.concatenate(nxt_frags))
                     if nxt_frags else np.empty(0, dtype=np.int64))
         cur += 1
     return cur - 1
@@ -258,7 +259,7 @@ def _backward(g, rt, mem, ga, sigma, delta, level, max_level: int,
                 ratios = (1.0 + delta[u]) / sigma[u]
                 acc = np.zeros(g.n)
                 np.add.at(acc, owners[succ], ratios)
-                touched = np.unique(owners[succ])
+                touched = unique_ids(owners[succ])
                 rt.owned_write_check(touched)
                 delta[touched] += sigma[touched] * acc[touched]
                 mem.write(delta_h, idx=touched, mode="rand")

@@ -30,6 +30,7 @@ from repro.algorithms.common import (
     PUSH, AlgoResult, GraphArrays, check_direction,
     gather_edge_positions,
 )
+from repro.graph.builder import unique_ids
 from repro.graph.csr import CSRGraph
 from repro.runtime.sm import SMRuntime
 
@@ -66,7 +67,6 @@ def connected_components(g: CSRGraph, rt: SMRuntime, direction: str = PUSH,
     iteration_times: list[float] = []
 
     active = np.arange(n, dtype=np.int64)   # changed last round
-    active_mask = np.ones(n, dtype=bool)
     rounds = 0
     limit = max_rounds if max_rounds is not None else 2 * n + 16
 
@@ -100,7 +100,7 @@ def connected_components(g: CSRGraph, rt: SMRuntime, direction: str = PUSH,
                 mem.cas(label_h, idx=tgt, mode="rand", batched=True)
                 before = labels[tgt].copy()
                 np.minimum.at(labels, tgt, vals[improving])
-                moved = np.unique(tgt[labels[tgt] < before])
+                moved = unique_ids(tgt[labels[tgt] < before])
                 if len(moved):
                     changed_frags.append(moved)
 
@@ -161,12 +161,10 @@ def connected_components(g: CSRGraph, rt: SMRuntime, direction: str = PUSH,
 
             rt.for_each_thread(jump)
 
-        active = (np.unique(np.concatenate(changed_frags))
-                  if changed_frags else np.empty(0, dtype=np.int64))
         # push processes only the changed frontier next round; pull's
         # sweep is global but terminates on quiescence
-        active_mask[:] = False
-        active_mask[active] = True
+        active = (unique_ids(np.concatenate(changed_frags))
+                  if changed_frags else np.empty(0, dtype=np.int64))
 
         # the frontier bitmap write used to happen outside any region,
         # invisible to the tracer (and unattributable in reconcile);
@@ -185,6 +183,6 @@ def connected_components(g: CSRGraph, rt: SMRuntime, direction: str = PUSH,
         iterations=rounds,
         iteration_times=iteration_times,
         labels=labels,
-        n_components=len(np.unique(labels)),
+        n_components=len(unique_ids(labels)),
         rounds=rounds,
     )

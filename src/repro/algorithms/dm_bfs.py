@@ -32,6 +32,7 @@ import numpy as np
 from repro.algorithms.common import (
     first_hits, gather_edge_positions, gather_rows,
 )
+from repro.graph.builder import unique_ids
 from repro.graph.csr import CSRGraph
 from repro.la.spmv import masked_first_hit
 from repro.machine.counters import PerfCounters
@@ -181,7 +182,7 @@ def _level_push(g, rt, mem, off_h, adj_h, par_h, owner, parent, level,
 
     rt.superstep(absorb)
     if claimed:
-        return np.unique(np.concatenate([c for c in claimed if len(c)]))
+        return unique_ids(np.concatenate([c for c in claimed if len(c)]))
     return np.empty(0, dtype=np.int64)
 
 
@@ -195,7 +196,7 @@ def _claim(payload, parent, level, depth, mem, par_h) -> np.ndarray:
     mem.write(par_h, idx=t2, mode="rand")
     parent[t2] = src[fresh]
     level[t2] = depth
-    return np.unique(t2)
+    return unique_ids(t2)
 
 
 def _level_pull(g, rt, mem, off_h, adj_h, par_h, owner, parent, level,
@@ -242,6 +243,6 @@ def _level_pull(g, rt, mem, off_h, adj_h, par_h, owner, parent, level,
 
     rt.superstep(scan)
     if found:
-        # np.unique: a crash-rerun of scan appends its discoveries twice
-        return np.unique(np.concatenate(found))
+        # dedup: a crash-rerun of scan appends its discoveries twice
+        return unique_ids(np.concatenate(found))
     return np.empty(0, dtype=np.int64)

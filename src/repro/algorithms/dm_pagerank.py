@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.graph.builder import unique_ids
 from repro.graph.csr import CSRGraph
 from repro.machine.counters import PerfCounters
 from repro.runtime.dm import DMRuntime
@@ -106,7 +107,7 @@ def dm_pagerank(g: CSRGraph, rt: DMRuntime, variant: str = MP,
                     tgt = nbrs[sel].astype(np.int64)
                     uv = np.zeros(n)
                     np.add.at(uv, tgt, vals[sel])
-                    uniq = np.unique(tgt)
+                    uniq = unique_ids(tgt)
                     mem.read(acc_h, idx=uniq, mode="rand")
                     mem.write(acc_h, idx=uniq, mode="rand")
                     contributions[p][q] = (uniq, uv[uniq])

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.algorithms.common import gather_edge_positions
+from repro.graph.builder import unique_ids
 from repro.graph.csr import CSRGraph
 from repro.machine.counters import PerfCounters
 from repro.runtime.dm import DMRuntime
@@ -112,13 +113,13 @@ def dm_sssp_delta(g: CSRGraph, rt: DMRuntime, source: int,
                 continue
             np.minimum.at(dist, t2, v2)
             mem.write(dist_h, idx=t2, mode="rand")
-            changed = np.unique(t2)
+            changed = unique_ids(t2)
             new_b = np.floor(dist[changed] / delta).astype(np.int64)
             bidx[changed] = new_b
             back = changed[new_b == bucket]
             if len(back):
                 refills.append(back)
-        return (np.unique(np.concatenate(refills))
+        return (unique_ids(np.concatenate(refills))
                 if refills else np.empty(0, dtype=np.int64))
 
     while epochs < limit:
@@ -190,7 +191,7 @@ def dm_sssp_delta(g: CSRGraph, rt: DMRuntime, source: int,
                     if len(unsettled) == 0:
                         return
                     pos = gather_edge_positions(g.offsets, unsettled)
-                    nbrs = np.unique(g.adj[pos])
+                    nbrs = unique_ids(g.adj[pos])
                     mem.read(off_h, idx=unsettled, count=len(unsettled) + 1,
                              mode="rand")
                     mem.read(adj_h, count=len(pos), mode="seq")

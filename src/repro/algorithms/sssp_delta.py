@@ -29,6 +29,7 @@ import numpy as np
 from repro.algorithms.common import (
     PUSH, AlgoResult, GraphArrays, check_direction, gather_edge_positions,
 )
+from repro.graph.builder import unique_ids
 from repro.graph.csr import CSRGraph
 from repro.runtime.sm import SMRuntime
 
@@ -149,7 +150,7 @@ def _epoch_push(g, rt, mem, ga, wgt_h, dist, bidx, dist_h, bidx_h, b, delta,
             mem.write(dist_h, idx=tgt, mode="rand")
             mem.write(bidx_h, idx=tgt, mode="rand")
             np.minimum.at(dist, tgt, val)          # CRCW-CB combining write
-            changed = np.unique(tgt)
+            changed = unique_ids(tgt)
             new_b = np.floor(dist[changed] / delta).astype(np.int64)
             bidx[changed] = new_b
             back = changed[new_b == b]
@@ -157,7 +158,7 @@ def _epoch_push(g, rt, mem, ga, wgt_h, dist, bidx, dist_h, bidx_h, b, delta,
                 next_active.append(back)
 
         rt.parallel_for(active, body, by_owner=True)
-        active = (np.unique(np.concatenate(next_active))
+        active = (unique_ids(np.concatenate(next_active))
                   if next_active else np.empty(0, dtype=np.int64))
     return itr
 
@@ -231,6 +232,5 @@ def _epoch_pull(g, rt, mem, ga, wgt_h, dist, bidx, dist_h, bidx_h, b, delta
         if not newly_active:
             break
         prev_active[:] = False
-        fresh = np.unique(np.concatenate(newly_active))
-        prev_active[fresh] = True
+        prev_active[np.concatenate(newly_active)] = True
     return itr

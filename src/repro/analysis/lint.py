@@ -708,7 +708,7 @@ class PhaseScan(BranchVisitor):
                     return FRONTIER
                 return UNKNOWN
         if isinstance(f, ast.Name) and f.id in {"int", "abs", "sorted",
-                                                "list"} and e.args:
+                                                "list", "unique_ids"} and e.args:
             return self.prov(e.args[0])
         return UNKNOWN
 

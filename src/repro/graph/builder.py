@@ -7,6 +7,21 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 
 
+def run_starts(keys: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values in sorted
+    ``keys``."""
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
+def unique_ids(ids) -> np.ndarray:
+    """The distinct ids of ``ids``, ascending: ``np.unique`` on integer
+    ids as one sort plus :func:`run_starts` (no hash table)."""
+    ids = np.sort(np.ravel(ids))
+    return ids[run_starts(ids)]
+
+
 def from_edges(n: int, edges, weights=None, directed: bool = False,
                dedup: bool = True) -> CSRGraph:
     """Build a :class:`CSRGraph` from an edge array.
@@ -60,8 +75,7 @@ def from_edges(n: int, edges, weights=None, directed: bool = False,
         order = np.argsort(key, kind=None if dedup else "stable")
         key, weights = key[order], weights[order]
     if dedup:
-        first = np.ones(len(key), dtype=bool)
-        first[1:] = key[1:] != key[:-1]
+        first = run_starts(key)
         if weights is not None:
             weights = np.minimum.reduceat(weights, np.flatnonzero(first))
         key = key[first]

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.graph.builder import unique_ids
 from repro.graph.csr import CSRGraph
 
 
@@ -42,7 +43,7 @@ def _bfs_ecc(g: CSRGraph, source: int) -> tuple[int, int]:
         level += 1
         if nxt:
             frontier = np.concatenate(nxt)
-            frontier = np.unique(frontier)
+            frontier = unique_ids(frontier)
             far = int(frontier[0])
         else:
             frontier = np.empty(0, dtype=np.int64)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.graph.builder import run_starts
 from repro.la.matrix import CSCMatrix, CSRMatrix
 from repro.la.semiring import Semiring
 
@@ -150,8 +151,10 @@ def first_claim(targets: np.ndarray, eligible: np.ndarray) -> np.ndarray:
     pos = np.flatnonzero(eligible)
     if pos.size == 0:
         return pos
-    _, fi = np.unique(targets[pos], return_index=True)
-    return np.sort(pos[fi])
+    claimed = targets[pos]
+    # a stable sort keeps each target's first occurrence at its run start
+    order = np.argsort(claimed, kind="stable")
+    return np.sort(pos[order[run_starts(claimed[order])]])
 
 
 def spmspv_csc(A: CSCMatrix, x_idx: np.ndarray, x_val: np.ndarray,

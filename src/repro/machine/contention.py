@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.graph.builder import unique_ids
 from repro.graph.csr import CSRGraph
 from repro.graph.partition import Partition1D
 
@@ -60,7 +61,7 @@ def writer_counts(g: CSRGraph, part: Partition1D) -> np.ndarray:
     for v in range(g.n):
         nbrs = g.neighbors(v)
         if len(nbrs):
-            counts[v] = len(np.unique(owners[nbrs]))
+            counts[v] = len(unique_ids(owners[nbrs]))
     return counts
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.graph.builder import unique_ids
 from repro.machine.memory import MemoryModel
 
 
@@ -26,7 +27,7 @@ class ThreadLocalFrontiers:
         self.frags[t].append(int(v))
 
     def extend(self, t: int, vs) -> None:
-        self.frags[t].extend(int(v) for v in np.asarray(vs).ravel())
+        self.frags[t].extend(np.asarray(vs).ravel().tolist())
 
     def sizes(self) -> list[int]:
         return [len(f) for f in self.frags]
@@ -50,7 +51,7 @@ class ThreadLocalFrontiers:
             np.asarray(f, dtype=np.int64) for f in self.frags if f
         ])
         if dedup:
-            merged = np.unique(merged)
+            merged = unique_ids(merged)
         else:
             merged = np.sort(merged)
         self.frags = [[] for _ in range(self.P)]

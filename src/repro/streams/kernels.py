@@ -39,6 +39,7 @@ from repro.algorithms.common import (
 from repro.algorithms.connected_components import CCResult
 from repro.algorithms.pagerank import PageRankResult
 from repro.algorithms.sssp_delta import _NO_BUCKET, SSSPResult
+from repro.graph.builder import unique_ids
 from repro.graph.csr import CSRGraph
 from repro.la.matrix import pull_matrix, push_matrix
 from repro.la.semiring import MIN_PLUS, PLUS_TIMES
@@ -350,7 +351,7 @@ def sssp_delta_batched(g: CSRGraph, rt: SMRuntime, source: int,
         else:
             inner_total += _epoch_pull_batched(
                 g, rt, mem, st, ga, wgt_h, dist, bidx, dist_h, bidx_h, b,
-                delta)
+                delta, weights)
         epoch_times.append(rt.time - t0)
         b += 1
 
@@ -402,7 +403,7 @@ def _epoch_push_batched(g, rt, mem, st, ga, wgt_h, dist, bidx, dist_h,
                 rand_op("write", bidx_h, idx=tgt),
             ])
             sr.add_at(dist, tgt, val)       # CRCW-CB combining write
-            changed = np.unique(tgt)
+            changed = unique_ids(tgt)
             new_b = np.floor(dist[changed] / delta).astype(np.int64)
             bidx[changed] = new_b
             back = changed[new_b == b]
@@ -410,19 +411,36 @@ def _epoch_push_batched(g, rt, mem, st, ga, wgt_h, dist, bidx, dist_h,
                 next_active.append(back)
 
         rt.parallel_for(active, body, by_owner=True)
-        active = (np.unique(np.concatenate(next_active))
+        active = (unique_ids(np.concatenate(next_active))
                   if next_active else np.empty(0, dtype=np.int64))
     return itr
 
 
 def _epoch_pull_batched(g, rt, mem, st, ga, wgt_h, dist, bidx, dist_h,
-                        bidx_h, b, delta) -> int:
+                        bidx_h, b, delta, weights) -> int:
     sr = MIN_PLUS
     prev_active = np.zeros(g.n, dtype=bool)
     prev_active[bidx == b] = True
     active_h = mem.register("sssp.active", g.n, 1)
     itr = 0
     threshold = b * delta
+    # thread -> its block's unsettled rows, keyed by the exact mask they
+    # were laid out from: with positive weights a vertex above b*delta
+    # stays there all epoch, but a zero-weight edge can settle it on b*delta
+    rows: dict[int, tuple] = {}
+
+    def lay_out(v0: int, uns: np.ndarray) -> tuple:
+        off = g.offsets[v0:v0 + len(uns) + 1]
+        deg = np.diff(off)
+        udeg = deg[uns]
+        ends = np.cumsum(udeg)
+        # heads[r] + i is the adjacency position of nbrs[i] in row r
+        heads = off[:-1][uns] - (ends - udeg)
+        # int64, the index dtype of StreamOp and of NumPy gathers: no
+        # body converts it again
+        nbrs = g.adj[off[0]:off[-1]][np.repeat(uns, deg)].astype(np.int64)
+        return uns, v0 + np.flatnonzero(uns), nbrs, ends, heads
+
     while True:
         itr += 1
         newly_active: list[np.ndarray] = []
@@ -431,19 +449,15 @@ def _epoch_pull_batched(g, rt, mem, st, ga, wgt_h, dist, bidx, dist_h,
         def body(t: int, vs: np.ndarray) -> None:
             if len(vs) == 0:
                 return
-            mem.read(dist_h, start=int(vs[0]), count=len(vs))
+            v0 = int(vs[0])
+            mem.read(dist_h, start=v0, count=len(vs))
             mem.branch_cond(len(vs))
-            unsettled = vs[dist[vs] > threshold]
-            if len(unsettled) == 0:
+            uns = dist[v0:v0 + len(vs)] > threshold
+            if t not in rows or not np.array_equal(rows[t][0], uns):
+                rows[t] = lay_out(v0, uns)
+            _, unsettled, nbrs, ends, heads = rows[t]
+            if len(nbrs) == 0:
                 return
-            pos = gather_edge_positions(g.offsets, unsettled)
-            if len(pos) == 0:
-                return
-            nbrs = g.adj[pos]
-            w = (g.weights if g.weights is not None
-                 else np.ones(len(g.adj)))[pos]
-            owners = np.repeat(unsettled,
-                               g.offsets[unsettled + 1] - g.offsets[unsettled])
             st.replay([
                 rand_op("read", ga.off, idx=unsettled,
                         counts=[len(unsettled) + 1]),
@@ -451,30 +465,31 @@ def _epoch_pull_batched(g, rt, mem, st, ga, wgt_h, dist, bidx, dist_h,
                 rand_op("read", bidx_h, idx=nbrs),
             ])
             mem.branch_cond(len(nbrs))
-            in_bucket = bidx[nbrs] == b
+            # bucket membership is re-derived from bidx in every body: a
+            # crash rerun restores bidx, not arrays private to this kernel
+            cpos = np.flatnonzero(np.take(bidx == b, nbrs))
             if not first:
-                st.replay([rand_op("read", active_h, idx=nbrs[in_bucket])])
-                in_bucket &= prev_active[nbrs]
-            if not in_bucket.any():
+                in_bucket = nbrs[cpos]
+                st.replay([rand_op("read", active_h, idx=in_bucket)])
+                cpos = cpos[prev_active[in_bucket]]
+            if len(cpos) == 0:
                 return
-            cpos = np.flatnonzero(in_bucket)
+            tgt = nbrs[cpos]
             st.replay([
-                rand_op("lock", dist_h, idx=nbrs[cpos]),
+                rand_op("lock", dist_h, idx=tgt),
                 seq_op("read", wgt_h, counts=[len(cpos)]),
             ])
-            cand = sr.mul(dist[nbrs[cpos]], w[cpos])
+            row = np.searchsorted(ends, cpos, side="right")
+            cand = sr.mul(dist[tgt], weights[heads[row] + cpos])
             mem.flop(len(cpos))
-            own = owners[cpos]
-            order = np.argsort(own, kind="stable")
-            own_s, cand_s = own[order], cand[order]
-            cut = np.flatnonzero(np.diff(own_s)) + 1
-            uniq = own_s[np.r_[0, cut]] if len(own_s) else own_s
+            # rows run in vertex order, so candidates come grouped by owner
+            first_of = np.r_[0, np.flatnonzero(np.diff(row)) + 1]
+            uniq = unsettled[row[first_of]]
             mem.branch_cond(len(cpos))
             # per-owned-vertex tropical reduction (local combining)
-            best = (sr.add.reduceat(cand_s, np.r_[0, cut])
-                    if len(cand_s) else cand_s)
+            best = sr.add.reduceat(cand, first_of)
             improved = best < dist[uniq]
-            imp = uniq[improved].astype(np.int64)
+            imp = uniq[improved]
             if len(imp) == 0:
                 return
             rt.owned_write_check(imp)
@@ -495,8 +510,7 @@ def _epoch_pull_batched(g, rt, mem, st, ga, wgt_h, dist, bidx, dist_h,
         if not newly_active:
             break
         prev_active[:] = False
-        fresh = np.unique(np.concatenate(newly_active))
-        prev_active[fresh] = True
+        prev_active[np.concatenate(newly_active)] = True
     return itr
 
 
@@ -523,7 +537,6 @@ def cc_batched(g: CSRGraph, rt: SMRuntime, direction: str = PUSH,
     iteration_times: list[float] = []
 
     active = np.arange(n, dtype=np.int64)
-    active_mask = np.ones(n, dtype=bool)
     rounds = 0
     limit = max_rounds if max_rounds is not None else 2 * n + 16
 
@@ -559,7 +572,7 @@ def cc_batched(g: CSRGraph, rt: SMRuntime, direction: str = PUSH,
                 st.replay([rand_op("cas", label_h, idx=tgt, batched=True)])
                 before = labels[tgt].copy()
                 sr.add_at(labels, tgt, vals[improving])  # CAS-min combining
-                moved = np.unique(tgt[labels[tgt] < before])
+                moved = unique_ids(tgt[labels[tgt] < before])
                 if len(moved):
                     changed_frags.append(moved)
 
@@ -620,10 +633,8 @@ def cc_batched(g: CSRGraph, rt: SMRuntime, direction: str = PUSH,
 
             rt.for_each_thread(jump)
 
-        active = (np.unique(np.concatenate(changed_frags))
+        active = (unique_ids(np.concatenate(changed_frags))
                   if changed_frags else np.empty(0, dtype=np.int64))
-        active_mask[:] = False
-        active_mask[active] = True
 
         def frontier_write() -> None:
             mem.write(active_h, idx=active, mode="rand")
@@ -639,6 +650,6 @@ def cc_batched(g: CSRGraph, rt: SMRuntime, direction: str = PUSH,
         iterations=rounds,
         iteration_times=iteration_times,
         labels=labels,
-        n_components=len(np.unique(labels)),
+        n_components=len(unique_ids(labels)),
         rounds=rounds,
     )

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.bfs import bfs
+from repro.algorithms.connected_components import connected_components
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.reference import (
     bfs_reference, pagerank_reference, sssp_reference,
@@ -38,7 +39,9 @@ from repro.runtime.dm import DMRuntime
 from repro.runtime.faults import RecoveryConfig
 from repro.runtime.sm import SMRuntime
 from repro.runtime.sm_faults import SMFaultPlan, attach_sm_fault_injector
-from repro.streams.kernels import bfs_batched, pagerank_batched
+from repro.streams.kernels import (
+    bfs_batched, cc_batched, pagerank_batched, sssp_delta_batched,
+)
 
 N = 48
 P = 4
@@ -420,6 +423,31 @@ class TestEngineDifferential:
         assert r1.ranks.tobytes() == r2.ranks.tobytes()
         assert rt1.time == rt2.time
         assert rt1.total_counters() == rt2.total_counters()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("direction", ["push", "pull"])
+    @pytest.mark.parametrize("kernel", ["sssp", "cc"])
+    def test_crash_heavy_schedules_bit_identical(self, g, gw, kernel,
+                                                 direction, seed):
+        # a crash rolls back only the registered arrays and reruns the
+        # body, so kernel-private state carried across bodies diverges
+        plan = SMFaultPlan(seed=seed, straggler=0.05, crash=0.2)
+        if kernel == "sssp":
+            engines = (sssp_delta, sssp_delta_batched)
+            graph, kw, result = gw, dict(source=0), "dist"
+        else:
+            engines = (connected_components, cc_batched)
+            graph, kw, result = g, {}, "labels"
+        (r1, rt1, i1), (r2, rt2, i2) = (
+            _run_engine(graph, k, plan, direction=direction, **kw)
+            for k in engines)
+        assert i1.stats.crashes > 0
+        assert i1.schedule == i2.schedule
+        assert i1.stats.to_dict() == i2.stats.to_dict()
+        assert getattr(r1, result).tobytes() == getattr(r2, result).tobytes()
+        assert r1.iterations == r2.iterations
+        assert rt1.time == rt2.time
+        assert rt1.thread_counters == rt2.thread_counters
 
     def test_faulted_batched_matches_reference(self, g):
         ref = pagerank_reference(g, iterations=3)
