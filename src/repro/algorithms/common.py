@@ -92,12 +92,23 @@ def gather_edge_positions(offsets: np.ndarray, vs: np.ndarray) -> np.ndarray:
     vs = np.asarray(vs, dtype=np.int64)
     if len(vs) == 0:
         return np.empty(0, dtype=np.int64)
-    counts = offsets[vs + 1] - offsets[vs]
-    total = int(counts.sum())
+    starts = offsets[vs]
+    counts = offsets[vs + 1] - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1])
     if total == 0:
         return np.empty(0, dtype=np.int64)
-    heads = np.repeat(offsets[vs] - np.r_[0, np.cumsum(counts)[:-1]], counts)
+    # each row's start minus where it lands in the output
+    heads = np.repeat(starts - (ends - counts), counts)
     return heads + np.arange(total, dtype=np.int64)
+
+
+def row_offsets(counts: np.ndarray) -> np.ndarray:
+    """``[0, cumsum(counts)]`` as int64: the offsets of rows of
+    ``counts`` items laid end to end (``len == len(counts) + 1``)."""
+    seg = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, dtype=np.int64, out=seg[1:])
+    return seg
 
 
 def gather_rows(g: CSRGraph, vs: np.ndarray
@@ -108,7 +119,7 @@ def gather_rows(g: CSRGraph, vs: np.ndarray
     starts = g.offsets[vs].astype(np.int64)
     deg = g.offsets[vs + 1].astype(np.int64) - starts
     nbrs = g.adj[gather_edge_positions(g.offsets, vs)]
-    return starts, nbrs, np.r_[0, np.cumsum(deg)]
+    return starts, nbrs, row_offsets(deg)
 
 
 def first_hits(nbrs: np.ndarray, seg: np.ndarray, hit_rel: np.ndarray

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms.common import (
-    first_hits, gather_edge_positions, gather_rows,
+    first_hits, gather_edge_positions, gather_rows, row_offsets,
 )
 from repro.graph.builder import unique_ids
 from repro.graph.csr import CSRGraph
@@ -234,7 +234,7 @@ def _level_pull(g, rt, mem, off_h, adj_h, par_h, owner, parent, level,
                     counts=np.full(len(unvisited), 2, dtype=np.int64)),
             seq_op("read", adj_h, counts=scanned, starts=starts),
             rand_op("write", par_h, idx=hit_vs,
-                    seg=np.r_[0, np.cumsum(hits, dtype=np.int64)]),
+                    seg=row_offsets(hits)),
         ], interleave=True)
         if len(hit_vs):
             parent[hit_vs] = hit_w

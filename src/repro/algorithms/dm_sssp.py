@@ -23,6 +23,22 @@ exactly the vertices an earlier update reached -- and reproduces the
 sequential sweep exactly (values, flops, and the memory call order it
 replays through :class:`~repro.streams.memory.StreamMemory`).
 
+Every inner iteration of the pull variant re-examines the same rows:
+``request_out`` and ``relax_local`` both lay out a rank's unsettled
+vertices, and the set changes only when a vertex settles or the epoch
+advances.  Everything derived from the set and the fixed graph and
+partition -- edge positions, int64 neighbours, owned mask, weights,
+row offsets, the per-rank request lists, the sweep's readers map -- is
+one :class:`_PullRows` per rank, built by :class:`_PullLayouts` once
+per set and keyed by the exact id array, so zero-weight settling and
+crash rollback (which change or restore the set mid-epoch) get a
+layout of their own.  The push body ``relax_out`` is an array pass
+too: it gathers a rank's active rows at once, replays their local
+traffic (per vertex: the 2-item offset read, then the adjacency range)
+as one stream per superstep, and batches the candidates per
+destination rank in the order the per-vertex loop first reached each
+rank.
+
 The paper's Section 6.5 observes that on shared memory push wins
 because intra-node atomics are cheap, "surprisingly different from the
 variant for the DM machines presented in the literature, where pulling
@@ -39,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.algorithms.common import gather_edge_positions
+from repro.algorithms.common import gather_edge_positions, row_offsets
 from repro.graph.builder import unique_ids
 from repro.graph.csr import CSRGraph
 from repro.machine.counters import PerfCounters
@@ -91,6 +107,7 @@ def dm_sssp_delta(g: CSRGraph, rt: DMRuntime, source: int,
     dist[source] = 0.0
     bidx[source] = 0
     owner = rt.part.owner(np.arange(n, dtype=np.int64))
+    layouts = _PullLayouts(g, owner, weights)
 
     start_time = rt.time
     start_counters = rt.total_counters()
@@ -141,25 +158,35 @@ def dm_sssp_delta(g: CSRGraph, rt: DMRuntime, source: int,
                 def relax_out(p: int) -> None:
                     vs = rt.owned(p)
                     act = vs[active_mask[vs]]
-                    if len(act) == 0:
+                    k = len(act)
+                    if k == 0:
                         return
-                    batches: dict[int, list] = {}
-                    for v in act:
-                        o0, o1 = int(g.offsets[v]), int(g.offsets[v + 1])
-                        nbrs = g.adj[o0:o1]
-                        mem.read(off_h, idx=int(v), count=2, mode="rand")
-                        mem.read(adj_h, start=o0, count=o1 - o0)
-                        cand = dist[v] + weights[o0:o1]
-                        mem.flop(o1 - o0)
-                        for q in range(rt.P):
-                            sel = owner[nbrs] == q
-                            if not sel.any():
-                                continue
-                            batches.setdefault(q, []).append(
-                                (nbrs[sel].astype(np.int64), cand[sel]))
-                    for q, parts in batches.items():
-                        tgt = np.concatenate([t for t, _ in parts])
-                        val = np.concatenate([v for _, v in parts])
+                    starts = g.offsets[act]
+                    deg = g.offsets[act + 1] - starts
+                    pos = gather_edge_positions(g.offsets, act)
+                    nbrs = g.adj[pos].astype(np.int64)
+                    cand = np.repeat(dist[act], deg) + weights[pos]
+                    # per vertex: the 2-item offset read, then its
+                    # adjacency range (none for a zero-degree vertex)
+                    StreamMemory(mem).replay([
+                        rand_op("read", off_h, idx=act,
+                                seg=np.arange(k + 1, dtype=np.int64),
+                                counts=np.full(k, 2, dtype=np.int64)),
+                        seq_op("read", adj_h, counts=deg, starts=starts),
+                    ], interleave=True)
+                    mem.flop(len(pos))
+                    # one batch per destination rank, in the order the
+                    # per-vertex loop first reached each rank: by
+                    # vertex, then ascending rank
+                    dest = owner[nbrs]
+                    first = np.full(rt.P, k, dtype=np.int64)
+                    np.minimum.at(first, dest,
+                                  np.repeat(np.arange(k, dtype=np.int64), deg))
+                    for q in np.argsort(first, kind="stable").tolist():
+                        if first[q] == k:
+                            break
+                        sel = dest == q
+                        tgt, val = nbrs[sel], cand[sel]
                         if q == p:
                             local_pairs.setdefault(p, []).append((tgt, val))
                         else:
@@ -190,22 +217,16 @@ def dm_sssp_delta(g: CSRGraph, rt: DMRuntime, source: int,
                     unsettled = vs[dist[vs] > b * delta]
                     if len(unsettled) == 0:
                         return
-                    pos = gather_edge_positions(g.offsets, unsettled)
-                    nbrs = unique_ids(g.adj[pos])
+                    lay = layouts.of(p, unsettled)
                     mem.read(off_h, idx=unsettled, count=len(unsettled) + 1,
                              mode="rand")
-                    mem.read(adj_h, count=len(pos), mode="seq")
-                    for q in range(rt.P):
-                        if q == p:
-                            continue
-                        ask = nbrs[owner[nbrs] == q]
-                        if len(ask):
-                            # MPI-style tag: the reply superstep reads
-                            # requests while replies are already in
-                            # flight; the tag tells them apart (and the
-                            # epoch checker relies on the distinction)
-                            rt.send(q, (p, ask), nbytes=8 * len(ask),
-                                    tag="req")
+                    mem.read(adj_h, count=len(lay.pos), mode="seq")
+                    for q, ask in lay.asks:
+                        # MPI-style tag: the reply superstep reads
+                        # requests while replies are already in
+                        # flight; the tag tells them apart (and the
+                        # epoch checker relies on the distinction)
+                        rt.send(q, (p, ask), nbytes=8 * len(ask), tag="req")
 
                 rt.superstep(request_out)
 
@@ -230,11 +251,10 @@ def dm_sssp_delta(g: CSRGraph, rt: DMRuntime, source: int,
                     unsettled = vs[dist[vs] > b * delta]
                     if len(unsettled) == 0:
                         return
-                    pos = gather_edge_positions(g.offsets, unsettled)
-                    nbrs = g.adj[pos].astype(np.int64)
-                    own = owner[nbrs] == p
-                    sw = _PullSweep(g.offsets, unsettled, nbrs, own,
-                                    weights[pos], replies, dist, bidx, b)
+                    lay = layouts.of(p, unsettled)
+                    # the owned neighbours, read in place by the sweep
+                    mine = lay.adj[lay.own]
+                    sw = _PullSweep(lay, mine, replies, dist, bidx, b)
                     written, flops = sw.run(delta)
                     back = unsettled[written]
                     refill[back[bidx[back] == b]] = True
@@ -243,19 +263,19 @@ def dm_sssp_delta(g: CSRGraph, rt: DMRuntime, source: int,
                         rand_op("read", off_h, idx=unsettled,
                                 seg=np.arange(k + 1, dtype=np.int64),
                                 counts=np.full(k, 2, dtype=np.int64)),
-                        seq_op("read", adj_h, counts=np.diff(sw.seg),
-                               starts=g.offsets[unsettled]),
+                        seq_op("read", adj_h, counts=lay.deg,
+                               starts=lay.starts),
                         # one scalar call per owned neighbour, in its
                         # reader's slot
-                        rand_op("read", dist_h, idx=nbrs[own],
-                                seg=np.arange(int(own.sum()) + 1,
+                        rand_op("read", dist_h, idx=mine,
+                                seg=np.arange(len(lay.own_slot) + 1,
                                               dtype=np.int64),
-                                groups=sw.slot[own]),
+                                groups=lay.own_slot),
                         rand_op("write", dist_h, idx=back,
                                 seg=np.arange(len(back) + 1, dtype=np.int64),
                                 groups=written),
                     ], interleave=True)
-                    mem.branch_cond(len(nbrs))
+                    mem.branch_cond(len(lay.adj))
                     mem.flop(flops)
 
                 rt.superstep(relax_local)
@@ -275,6 +295,86 @@ def dm_sssp_delta(g: CSRGraph, rt: DMRuntime, source: int,
     )
 
 
+class _PullRows:
+    """One rank's row layout of an unsettled vertex set (pull variant).
+
+    Everything ``request_out`` and ``relax_local`` derive from the set
+    ``ids`` (ascending) and the fixed graph and partition: each row's
+    first adjacency position ``starts`` and degree ``deg``, the edge
+    positions ``pos``, the weights ``w``, the row offsets ``seg`` and
+    each edge's row ``slot``; ``adj``, the rows' adjacency entries as
+    int64 (named like ``CSRGraph.adj``, whose entries the static pass
+    reads as neighbour ids); the owned mask ``own`` with the owned
+    entries' rows ``own_slot``, and the positions ``rem`` and ids
+    ``rem_adj`` of the remote entries; ``asks``, the distinct remote
+    neighbours per owner rank, ascending, as ``(rank, ids)``; and,
+    built on first use, the sweep's readers map (:meth:`readers`).
+    """
+
+    def __init__(self, g: CSRGraph, owner: np.ndarray, weights: np.ndarray,
+                 p: int, ids: np.ndarray) -> None:
+        self.ids = ids
+        self.starts = g.offsets[ids]
+        self.deg = deg = g.offsets[ids + 1] - self.starts
+        self.pos = pos = gather_edge_positions(g.offsets, ids)
+        adj = g.adj[pos]
+        self.adj = adj.astype(np.int64)
+        self.own = own = owner[self.adj] == p
+        self.rem = np.flatnonzero(~own)
+        self.rem_adj = self.adj[self.rem]
+        self.w = weights[pos]
+        self.seg = seg = row_offsets(deg)
+        self.slot = np.repeat(np.arange(len(ids), dtype=np.int64), deg)
+        self.own_slot = self.slot[own]
+        # the rows that have edges, and where each one starts
+        self.nz = nz = deg > 0
+        self.heads = seg[:-1][nz]
+        asks = unique_ids(adj)
+        at = owner[asks]
+        self.asks = [(q, asks[at == q]) for q in unique_ids(at).tolist()
+                     if q != p]
+        self._readers: tuple[list, list] | None = None
+
+    def readers(self) -> tuple[list, list]:
+        """``(readers, roff)``: ``readers[roff[k]:roff[k + 1]]`` are the
+        later sweep positions that read the vertex at position ``k``
+        (through an owned edge)."""
+        if self._readers is None:
+            ids, k = self.ids, len(self.ids)
+            e = np.flatnonzero(self.own)
+            nbrs = self.adj[e]
+            j = np.searchsorted(ids, nbrs)
+            jc = np.minimum(j, k - 1)
+            dep = (ids[jc] == nbrs) & (j < self.slot[e])
+            src = j[dep]
+            order = np.argsort(src, kind="stable")
+            self._readers = (self.slot[e][dep][order].tolist(),
+                             np.searchsorted(src[order],
+                                             np.arange(k + 1)).tolist())
+        return self._readers
+
+
+class _PullLayouts:
+    """Each rank's :class:`_PullRows`, rebuilt only when its unsettled
+    set changes.  The key is the exact id array, so a set that shrank
+    (a vertex settled, the epoch advanced) or that crash rollback
+    restored gets the layout of that set."""
+
+    def __init__(self, g: CSRGraph, owner: np.ndarray,
+                 weights: np.ndarray) -> None:
+        self.g, self.owner, self.weights = g, owner, weights
+        self._last: dict[int, _PullRows] = {}
+
+    def of(self, p: int, ids: np.ndarray) -> _PullRows:
+        """Rank ``p``'s layout of the unsettled set ``ids``."""
+        lay = self._last.get(p)
+        if (lay is None or len(lay.ids) != len(ids)
+                or not (lay.ids == ids).all()):
+            lay = self._last[p] = _PullRows(self.g, self.owner,
+                                            self.weights, p, ids)
+        return lay
+
+
 class _PullSweep:
     """One rank's ``relax_local`` sweep, computed array-at-a-time.
 
@@ -284,57 +384,53 @@ class _PullSweep:
     (Gauss-Seidel).  The constructor evaluates every vertex against the
     pre-sweep state instead (Jacobi): ``best[k]`` and the in-bucket
     mask ``inb`` whose count is the flop count.  :meth:`run` repairs
-    that pass exactly, see there.
+    that pass exactly, see there.  ``mine`` is ``rows.adj[rows.own]``,
+    the owned neighbours ``relax_local`` also reads ``dist`` at.
     """
 
-    def __init__(self, offsets: np.ndarray, unsettled: np.ndarray,
-                 nbrs: np.ndarray, own: np.ndarray, w: np.ndarray,
-                 replies: list, dist: np.ndarray, bidx: np.ndarray,
-                 b: int) -> None:
-        self.unsettled, self.dist, self.bidx, self.b = unsettled, dist, bidx, b
-        self.nbrs, self.own, self.w = nbrs, own, w
-        deg = offsets[unsettled + 1] - offsets[unsettled]
-        self.seg = np.r_[0, np.cumsum(deg)]
-        self.slot = np.repeat(np.arange(len(unsettled), dtype=np.int64), deg)
+    def __init__(self, rows: _PullRows, mine: np.ndarray, replies: list,
+                 dist: np.ndarray, bidx: np.ndarray, b: int) -> None:
+        self.rows, self.dist, self.bidx, self.b = rows, dist, bidx, b
+        own, rem, m = rows.own, rows.rem, len(rows.adj)
         # owned state first, then the last reply for the id (inbox
         # order, as a dict fold keeps it), else the neighbour is unknown
         self.known = known = own.copy()
-        self.nd = nd = np.zeros(len(nbrs))
-        self.nb = nb = np.zeros(len(nbrs), dtype=np.int64)
-        nd[own] = dist[nbrs[own]]
-        nb[own] = bidx[nbrs[own]]
-        rem = np.flatnonzero(~own)
+        self.nd = nd = np.zeros(m)
+        self.nb = nb = np.zeros(m, dtype=np.int64)
+        nd[own] = dist[mine]
+        nb[own] = bidx[mine]
         if replies and len(rem):
             ids, ds, bs = (np.concatenate(col) for col in zip(*replies))
             order = np.argsort(ids, kind="stable")
             ids, ds, bs = ids[order], ds[order], bs[order]
-            last = np.r_[ids[1:] != ids[:-1], True]
+            last = np.ones(len(ids), dtype=bool)
+            np.not_equal(ids[1:], ids[:-1], out=last[:-1])
             ids, ds, bs = ids[last], ds[last], bs[last]
-            j = np.minimum(np.searchsorted(ids, nbrs[rem]), len(ids) - 1)
-            hit = ids[j] == nbrs[rem]
+            j = np.minimum(np.searchsorted(ids, rows.rem_adj), len(ids) - 1)
+            hit = ids[j] == rows.rem_adj
             rem, j = rem[hit], j[hit]
             known[rem] = True
             nd[rem], nb[rem] = ds[j], bs[j]
         self.inb = inb = known & (nb == b)
-        cand = np.full(len(nbrs), np.inf)
-        cand[inb] = nd[inb] + w[inb]
-        self.best = best = dist[unsettled].copy()
-        nz = deg > 0
-        if nz.any():
-            best[nz] = np.minimum(best[nz], np.minimum.reduceat(
-                cand, self.seg[:-1][nz]))
+        cand = np.full(m, np.inf)
+        cand[inb] = nd[inb] + rows.w[inb]
+        self.best = best = dist[rows.ids]
+        if len(rows.heads):
+            best[rows.nz] = np.minimum(best[rows.nz], np.minimum.reduceat(
+                cand, rows.heads))
 
     def recompute(self, k: int) -> tuple[float, int]:
         """Vertex ``k``'s best distance and flop count from live state."""
-        lo, hi = int(self.seg[k]), int(self.seg[k + 1])
-        own, nbrs = self.own[lo:hi], self.nbrs[lo:hi]
+        rows = self.rows
+        lo, hi = int(rows.seg[k]), int(rows.seg[k + 1])
+        own, nbrs = rows.own[lo:hi], rows.adj[lo:hi]
         nd, nb = self.nd[lo:hi].copy(), self.nb[lo:hi].copy()
         nd[own] = self.dist[nbrs[own]]
         nb[own] = self.bidx[nbrs[own]]
         m = self.known[lo:hi] & (nb == self.b)
-        best = self.dist[self.unsettled[k]]
+        best = self.dist[rows.ids[k]]
         if m.any():
-            best = min(best, (nd[m] + self.w[lo:hi][m]).min())
+            best = min(best, (nd[m] + rows.w[lo:hi][m]).min())
         return best, int(m.sum())
 
     def run(self, delta: float) -> tuple[np.ndarray, int]:
@@ -351,23 +447,13 @@ class _PullSweep:
         vertices of the sweep that read it.  Exact for any weights: no
         assumption on how an update moves a bucket.
         """
-        unsettled, dist, bidx = self.unsettled, self.dist, self.bidx
+        unsettled, dist, bidx = self.rows.ids, self.dist, self.bidx
         flops = int(self.inb.sum())
         heap = np.flatnonzero(self.best < dist[unsettled]).tolist()
         if not heap:
             return np.empty(0, dtype=np.int64), flops
-        # readers[roff[k]:roff[k + 1]]: later sweep positions that read
-        # the vertex at position k
-        e = np.flatnonzero(self.own)
-        j = np.searchsorted(unsettled, self.nbrs[e])
-        jc = np.minimum(j, len(unsettled) - 1)
-        dep = (unsettled[jc] == self.nbrs[e]) & (j < self.slot[e])
-        src = j[dep]
-        order = np.argsort(src, kind="stable")
-        readers = self.slot[e][dep][order].tolist()
-        roff = np.searchsorted(src[order],
-                               np.arange(len(unsettled) + 1)).tolist()
-        seg, inb = self.seg, self.inb
+        readers, roff = self.rows.readers()
+        seg, inb = self.rows.seg, self.inb
         dirty = bytearray(len(unsettled))
         written: list[int] = []
         last = -1
@@ -378,7 +464,7 @@ class _PullSweep:
             last = k
             if dirty[k]:
                 best, live = self.recompute(k)
-                flops += live - int(inb[seg[k]:seg[k + 1]].sum())
+                flops += live - int(np.count_nonzero(inb[seg[k]:seg[k + 1]]))
             else:
                 best = self.best[k]
             v = int(unsettled[k])

@@ -33,15 +33,16 @@ class PartitionAwareCSR:
         owners = part.owner(np.arange(g.n, dtype=np.int64))
         src = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.offsets))
         is_local = owners[src] == owners[g.adj]
-        # stable partition of each vertex slice: locals first, then remotes,
-        # both keeping ascending neighbor order.
-        order = np.lexsort((g.adj, ~is_local, src))
+        # each vertex slice sorted locals first, then remotes, both by
+        # ascending neighbor: one stable sort of the int64 key
+        # (2*src + remote)*n + adj, so parallel arcs keep their order
+        key = (2 * src + ~is_local) * g.n + g.adj
+        order = np.argsort(key, kind="stable")
         self.adj = g.adj[order]
         self.weights = None if g.weights is None else g.weights[order]
         self.offsets = g.offsets
-        local_counts = np.zeros(g.n, dtype=np.int64)
-        np.add.at(local_counts, src[is_local], 1)
-        self.split = g.offsets[:-1] + local_counts
+        self.split = g.offsets[:-1] + np.bincount(src[is_local],
+                                                  minlength=g.n)
 
     @property
     def n(self) -> int:

@@ -123,7 +123,7 @@ def masked_first_hit(flags: np.ndarray, seg: np.ndarray) -> np.ndarray:
     offset array (``len(seg) == nrows + 1``) tiling ``flags``.
     """
     seg = np.asarray(seg, dtype=np.int64)
-    sizes = np.diff(seg)
+    sizes = seg[1:] - seg[:-1]
     out = np.full(len(sizes), -1, dtype=np.int64)
     flags = np.asarray(flags)
     if flags.size == 0 or not sizes.any():

@@ -36,6 +36,22 @@ from repro.machine.cache import CacheHierarchySpec, CacheLevelSpec, TLBSpec
 from repro.machine.counters import PerfCounters
 
 
+#: the communication terms of :meth:`MachineSpec.time`: each counter
+#: and the weight field that prices it.  ``time_parts`` and
+#: ``comm_time`` read this table; ``time`` itself keeps its literal
+#: sum, because it runs on every superstep and traced event (about
+#: 12,800 calls per dm-road pass) and a loop over the table would slow
+#: it.  ``tests/test_tracer_deltas.py`` holds the two in step.
+COMM_WEIGHTS = (
+    ("messages", "net_alpha"), ("msg_bytes", "net_beta"),
+    ("collectives", "w_collective"), ("collective_bytes", "net_beta"),
+    ("remote_gets", "w_remote_get"), ("remote_puts", "w_remote_put"),
+    ("remote_acc_int", "w_remote_acc_int"),
+    ("remote_acc_float", "w_remote_acc_float"),
+    ("remote_bytes", "net_beta"), ("flushes", "w_flush"),
+)
+
+
 @dataclass(frozen=True)
 class MachineSpec:
     """A named machine: cache geometry plus per-event time weights.
@@ -149,18 +165,19 @@ class MachineSpec:
             "tlb_i_misses": c.tlb_i_misses * self.w_tlb_miss,
             "flops": c.flops * self.w_flop,
             "barriers": c.barriers * self.w_barrier,
-            "messages": c.messages * self.net_alpha,
-            "msg_bytes": c.msg_bytes * self.net_beta,
-            "collectives": c.collectives * self.w_collective,
-            "collective_bytes": c.collective_bytes * self.net_beta,
-            "remote_gets": c.remote_gets * self.w_remote_get,
-            "remote_puts": c.remote_puts * self.w_remote_put,
-            "remote_acc_int": c.remote_acc_int * self.w_remote_acc_int,
-            "remote_acc_float": c.remote_acc_float * self.w_remote_acc_float,
-            "remote_bytes": c.remote_bytes * self.net_beta,
-            "flushes": c.flushes * self.w_flush,
         }
+        parts.update((k, getattr(c, k) * getattr(self, w))
+                     for k, w in COMM_WEIGHTS)
         return {k: v for k, v in parts.items() if v}
+
+    def comm_time(self, delta: dict) -> float:
+        """The communication share of :meth:`time` for a counter-delta
+        dict (absent fields count zero), summed in
+        :data:`COMM_WEIGHTS` order."""
+        t = 0
+        for k, w in COMM_WEIGHTS:
+            t += delta.get(k, 0) * getattr(self, w)
+        return t
 
     def with_(self, **kwargs) -> "MachineSpec":
         """A copy with some weights replaced (for ablation sweeps)."""

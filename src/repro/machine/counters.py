@@ -77,7 +77,15 @@ class PerfCounters:
         return PerfCounters(**self.to_dict())
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in _FIELDS}
+        # the instance dict holds exactly the fields, in declaration order
+        return self.__dict__.copy()
+
+    def nonzero_delta(self, before: dict) -> dict:
+        """The nonzero fields of ``self`` minus the :meth:`to_dict`
+        snapshot ``before``, in field order -- a trace event's counter
+        delta, built in one pass."""
+        return {k: d for k, v in self.__dict__.items()
+                if (d := v - before[k])}
 
     def reset(self) -> None:
         for k in _FIELDS:

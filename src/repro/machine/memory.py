@@ -388,7 +388,7 @@ class CountingMemory(MemoryModel):
         elif seg is None:
             whole = np.size(idx) <= 1
         else:
-            whole = bool((np.diff(seg) <= 1).all())
+            whole = bool((seg[1:] - seg[:-1] <= 1).all())
         if whole and (counts == c0).all():
             # every segment is a whole-array access of c0 items
             inc = self._whole_increments(handle, c0, mode)
@@ -419,7 +419,7 @@ class CountingMemory(MemoryModel):
                     if seg is None:
                         seg = np.array([0, arr.size], dtype=np.int64)
                     seg = np.asarray(seg, dtype=np.int64)
-                    sizes = np.diff(seg)
+                    sizes = seg[1:] - seg[:-1]
                     nz = sizes > 0
                     if nz.any():
                         starts_nz = seg[:-1][nz]

@@ -76,7 +76,7 @@ RECOVERY_KINDS = frozenset({
 })
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One typed, simulated-time-stamped trace record."""
 

@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 import random
 
+from repro.machine.cost_model import COMM_WEIGHTS
 from repro.machine.counters import PerfCounters
 from repro.observability.events import TraceEvent, approx_value_nbytes
 from repro.observability.hwcounters import TABLE1_COLUMNS
@@ -54,9 +55,7 @@ from repro.observability.hwcounters import TABLE1_COLUMNS
 METRICS_SCHEMA = "repro-metrics/3"
 
 #: the communication verb totals reported next to the edge cut
-COMM_COUNTERS = ("messages", "msg_bytes", "collectives", "collective_bytes",
-                 "remote_gets", "remote_puts", "remote_acc_int",
-                 "remote_acc_float", "remote_bytes", "flushes")
+COMM_COUNTERS = tuple(k for k, _ in COMM_WEIGHTS)
 
 #: per-pair fields of the traffic matrix, in row order
 TRAFFIC_FIELDS = ("messages", "msg_bytes", "gets", "puts", "acc_int",
@@ -265,7 +264,7 @@ class RollupSink(TraceSink):
         self._frontier: list[dict] = []
         self._switches: list[dict] = []
         self._pairs: dict[tuple[int, int], dict] = {}
-        self._totals = PerfCounters()
+        self._totals = PerfCounters().to_dict()
         self._decomposed = 0.0
         self._compute = self._comm = self._injected = 0.0
         self._sync = self._recovery = 0.0
@@ -297,7 +296,7 @@ class RollupSink(TraceSink):
         elif kind == "barrier":
             self._decomposed += ev.dur
             self._sync += ev.dur
-            self._totals.barriers += ev.data["barriers"]
+            self._totals["barriers"] += ev.data["barriers"]
         elif kind == "stall":
             self._decomposed += ev.dur
             self._recovery += ev.dur
@@ -353,14 +352,13 @@ class RollupSink(TraceSink):
         acc = self._totals
         for d in deltas:
             for k, v in d.items():
-                setattr(acc, k, getattr(acc, k) + v)
+                acc[k] += v
         # critical-path attribution of this barrier-delimited interval
         spans = ev.data["spans"]
         dur = ev.dur
-        bl = (max(range(len(spans)), key=lambda t: spans[t]) if spans else 0)
+        bl = spans.index(max(spans)) if spans else 0
         delta = deltas[bl] if bl < len(deltas) else {}
-        parts = self.tracer.rt.machine.time_parts(PerfCounters(**delta))
-        cm = min(sum(parts.get(k, 0.0) for k in COMM_COUNTERS), dur)
+        cm = min(self.tracer.rt.machine.comm_time(delta), dur)
         stalls = ev.data.get("stalls")
         inj = (min(stalls[bl], dur - cm)
                if stalls and bl < len(stalls) else 0.0)
@@ -403,7 +401,7 @@ class RollupSink(TraceSink):
 
     def traced_totals(self) -> PerfCounters:
         """Sum of every recorded counter delta plus barrier episodes."""
-        return self._totals.copy()
+        return PerfCounters(**self._totals)
 
     def traffic(self) -> dict:
         """The per-rank-pair traffic matrix (``rollup["traffic"]``).
@@ -463,7 +461,7 @@ class RollupSink(TraceSink):
         names = sorted({k for s in self._steps for k in s["counters"]})
         series = {k: [s["counters"].get(k, 0) for s in self._steps]
                   for k in names}
-        totals = self._totals.to_dict()
+        totals = dict(self._totals)
         phase_rows = [self._phases[label] for label in self._phase_order]
         roll = {
             "schema": METRICS_SCHEMA,

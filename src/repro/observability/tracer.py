@@ -87,7 +87,7 @@ class Tracer:
         # superstep context (DM): start time + per-rank progress baselines
         self._ss_t0: float = rt.time
         self._ss_befores: list[float] = []
-        self._ss_snaps: list[PerfCounters] = []
+        self._ss_snaps: list[dict] = []
         for sink in self.sinks:
             sink.bind(self)
 
@@ -195,9 +195,10 @@ class Tracer:
         self._seq += 1
         self.n_events += 1
         self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1
+        retained = 0
         for sink in self.sinks:
             sink.on_event(ev)
-        retained = sum(sink.nbytes for sink in self.sinks)
+            retained += sink.nbytes
         if retained > self.peak_sink_bytes:
             self.peak_sink_bytes = retained
         if self.wallclock is not None:
@@ -274,22 +275,25 @@ class Tracer:
                    label=f"{previous}->{chosen}", data=data)
 
     # -- distributed-memory hooks -------------------------------------------------------
-    def on_superstep_begin(self, index: int) -> None:
+    def on_superstep_begin(self, index: int, befores: list[float]) -> None:
+        """``befores`` is each rank's simulated time (mtu) at the start,
+        as the runtime measured it for the superstep's spans."""
         rt = self.rt
         self._ss_t0 = rt.time
-        self._ss_befores = [rt.machine.time(c) for c in rt.proc_counters]
-        self._ss_snaps = [c.copy() for c in rt.proc_counters]
+        self._ss_befores = befores
+        self._ss_snaps = [c.to_dict() for c in rt.proc_counters]
 
     def on_superstep_end(self, index: int, spans: list[float],
                          stall: float) -> None:
         rt = self.rt
-        deltas = [c - s for c, s in zip(rt.proc_counters, self._ss_snaps)]
+        deltas = [c.nonzero_delta(s)
+                  for c, s in zip(rt.proc_counters, self._ss_snaps)]
         span = max(spans) if spans else 0.0
         label = getattr(rt, "_label", "") or f"superstep-{index}"
         self._emit("superstep", ts=self._ss_t0, dur=span, label=label,
                    data={"index": int(index),
                          "spans": [float(s) for s in spans],
-                         "deltas": [_nonzero(d) for d in deltas],
+                         "deltas": deltas,
                          "stall": float(stall)})
         t = self._ss_t0 + span
         if stall > 0:

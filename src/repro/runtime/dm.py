@@ -189,16 +189,16 @@ class DMRuntime:
         timeout.  The failed attempt's counters stay: that work was done
         and lost, and it is exactly the overhead BSP time must show.
         """
+        befores = [self.machine.time(c) for c in self.proc_counters]
         tracer = self.tracer
         if tracer is not None:
             # before the fault draw, so straggler/crash events already
             # have this superstep's time base
-            tracer.on_superstep_begin(self.superstep_index)
+            tracer.on_superstep_begin(self.superstep_index, befores)
         if self.observer is not None:
             self.observer.on_superstep_begin(self.superstep_index)
         faults = self.faults
         crashes = faults.begin_superstep() if faults is not None else ()
-        befores = [self.machine.time(c) for c in self.proc_counters]
         for p in range(self.P):
             snapshot = self._snapshot(p) if p in crashes else None
             self._activate(p)

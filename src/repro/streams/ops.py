@@ -79,7 +79,7 @@ class StreamOp:
             else:
                 self.seg = np.asarray(self.seg, dtype=np.int64)
             if self.counts is None:
-                self.counts = np.diff(self.seg)
+                self.counts = self.seg[1:] - self.seg[:-1]
         elif self.counts is None:
             raise ValueError("a stream op needs idx (rand) or counts (seq)")
         self.counts = np.asarray(self.counts, dtype=np.int64)

@@ -362,6 +362,39 @@ def kernel(g, rt, mem, st, off_h, adj_h, dist_h, lvl_h):
                                    "verdict": "needed"}]
         assert stream == mem
 
+    LAYOUT = """
+def kernel(g, rt, mem, st, layouts, off_h, adj_h, dist_h, lvl_h):
+    def relax(p):
+        vs = rt.owned(p)
+        lay = layouts.of(p, vs)
+        st.replay([
+            rand_op("read", off_h, idx=vs, counts=[2]),
+            seq_op("read", adj_h, counts=[len(lay.pos)], starts=[0]),
+            rand_op("read", dist_h, lay.{rows}[lay.own]),
+            rand_op("write", dist_h, idx=vs),
+        ])
+    rt.superstep(relax)
+"""
+
+    def test_layout_rows_named_adj_stay_neighbour_valued(self):
+        """DM Δ-Stepping's pull layout gathers the rows once and keeps
+        them as ``lay.adj``: an index drawn from an attribute named
+        ``adj`` is neighbour-valued, as ``g.adj``'s is, so the phase
+        still reads as pull.  Under any other name the gather would be
+        invisible and the phase would drop to local."""
+        mem = self._signature(self.MEM.format(extra_mem=""))
+        layout = self._signature(self.LAYOUT.format(rows="adj"))
+        hidden = self._signature(self.LAYOUT.format(rows="nbrs"))
+        assert layout == mem
+        assert hidden["inferred"] == "local"
+
+    def test_dm_sssp_pull_relaxation_reads_neighbours(self, report):
+        phase = {p.label: p for p in
+                 report.kernels["dm_sssp_delta"].phases}["relax_local"]
+        assert (phase.declared, phase.inferred) == ("pull", "pull")
+        assert phase.reads == ["dmsssp.adj", "dmsssp.dist",
+                               "dmsssp.offsets"]
+
 
 class TestReconciliation:
     def test_static_write_sets_cover_dynamic_traces(self, report):

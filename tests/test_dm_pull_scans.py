@@ -133,6 +133,11 @@ class SteppedRuntime(DMRuntime):
             def twin(p: int) -> None:
                 env = {c: cell.cell_contents
                        for c, cell in zip(cells, body.__closure__)}
+                if "layouts" in env:
+                    # relax_local reaches the graph, the owners and the
+                    # weights through its row-layout cache
+                    lay = env["layouts"]
+                    env.update(g=lay.g, owner=lay.owner, weights=lay.weights)
                 if name == "_level_pull.scan":
                     reference_scan(p, env)
                 else:
