@@ -210,12 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bd.add_argument("--report", default=None, metavar="PATH",
                     help="also write the machine-readable verdict "
                          "(repro-benchdiff/1) to PATH")
-    bd.add_argument("--history", default=None, metavar="PATH",
-                    help="also append the candidate to the bench-history "
-                         "timeline at PATH and print its trend")
-    bd.add_argument("--history-label", default=None, metavar="LABEL",
-                    help="snapshot label for --history (default: the "
-                         "candidate file name)")
     bs = bsub.add_parser(
         "speedup",
         help="config-vs-config winner-by-factor tables (the shape of "

@@ -51,7 +51,6 @@ from repro.kernels import BY_LABEL, DIRECTIONS, KERNELS, LABELS, launch
 if TYPE_CHECKING:
     from repro.analysis.crosscheck import CrossCheckResult, DMCommCheckResult
     from repro.analysis.race import RaceReport
-    from repro.graph.partition import Partition1D
     from repro.runtime.faults import FaultPlan
     from repro.runtime.sm_faults import SMFaultPlan
 
@@ -195,16 +194,11 @@ def instance_graph(dataset: str, n: int, d_bar: float, seed: int,
     return INSTANCES[dataset](n, d_bar, seed, weighted)
 
 
-def cross_edges(g: CSRGraph, part: Partition1D) -> int:
-    """Directed edges whose endpoints live on different processes."""
-    srcs = np.repeat(np.arange(g.n, dtype=np.int64), np.diff(g.offsets))
-    return int((part.owner(srcs) != part.owner(g.adj)).sum())
-
-
 def _bound(cell: Cell, g: CSRGraph, rt, result, report: RaceReport, P: int,
            slack: float) -> CrossCheckResult | DMCommCheckResult:
     """The Section-4 conflict bound (SM) or cut bound (DM) of one run."""
     from repro.analysis.crosscheck import crosscheck, dm_crosscheck
+    from repro.graph.partition_strategies import edge_cut
     a = cell.algorithm
     if cell.runtime == "dm":
         if a == "TC":
@@ -214,7 +208,7 @@ def _bound(cell: Cell, g: CSRGraph, rt, result, report: RaceReport, P: int,
         else:
             rounds = max(1, int(getattr(result, _DM_ROUNDS[a])))
         return dm_crosscheck(a, cell.variant, result.counters,
-                             m_cross=cross_edges(g, rt.part), P=P,
+                             m_cross=edge_cut(g, rt.part), P=P,
                              supersteps=max(1, report.epochs), rounds=rounds,
                              slack=slack)
     it = max(1, int(getattr(result, "iterations", 1) or 1))

@@ -21,7 +21,7 @@ tracer snapshots carries exact per-lane miss counts, and
 :meth:`Tracer.reconcile` covers them like any other
 :class:`~repro.machine.counters.PerfCounters` field.
 
-:func:`cache_table` renders a rollup's per-phase cache columns the
+The rollup's ``cache`` view renders the per-phase cache columns the
 way Table 1 does; :func:`miss_asymmetry` extracts the push-vs-pull
 miss-rate comparison the paper builds its direction arguments on.
 """
@@ -62,25 +62,6 @@ def equip_cache_sim(rt, cache_scale: int = DEFAULT_CACHE_SCALE
     return mem
 
 
-def cache_table(rollup: dict) -> list[dict]:
-    """Table-1-style rows from a ``repro-metrics/2`` rollup.
-
-    One row per phase label: the Table-1 columns plus derived
-    ``l1_per_read`` (the miss-rate the paper's push/pull cache argument
-    turns on).  Zero-read phases report a rate of 0.0.
-    """
-    rows = []
-    for phase in rollup.get("phases", []):
-        c = phase["counters"]
-        row = {"label": phase["label"], "time": phase["time"]}
-        for k in TABLE1_COLUMNS:
-            row[k] = int(c.get(k, 0))
-        reads = row["reads"]
-        row["l1_per_read"] = (row["l1_misses"] / reads) if reads else 0.0
-        rows.append(row)
-    return rows
-
-
 def miss_rates(counters: dict) -> dict:
     """Per-read miss rates for one counter dict (cell, phase, or run)."""
     reads = counters.get("reads", 0)
@@ -105,7 +86,6 @@ __all__ = [
     "CACHE_COUNTERS",
     "DEFAULT_CACHE_SCALE",
     "TABLE1_COLUMNS",
-    "cache_table",
     "equip_cache_sim",
     "miss_asymmetry",
     "miss_rates",

@@ -360,25 +360,6 @@ def diff_main(args) -> int:
                   f"{_num(d.baseline)} -> {_num(d.candidate)} ({pct})")
         if len(diff.failing) > 40:
             print(f"  ... and {len(diff.failing) - 40} more")
-    if getattr(args, "history", None):
-        # record the candidate on the bench-history timeline and show
-        # its trajectory next to the two-point diff verdict
-        import os
-
-        from repro.observability.history import (
-            load_history, record, render_trend,
-        )
-        try:
-            snapshots = (load_history(args.history)
-                         if os.path.exists(args.history) else [])
-            snapshots.append(record(
-                args.history, args.candidate,
-                label=getattr(args, "history_label", None)))
-            print()
-            print(render_trend(snapshots, markdown=args.markdown))
-        except BenchDiffError as exc:
-            print(f"bench diff: history error: {exc}", file=sys.stderr)
-            return 2
     return 0 if diff.ok else 1
 
 

@@ -43,11 +43,6 @@ from repro.observability.sinks import (
 )
 
 
-def _nonzero(c: PerfCounters) -> dict:
-    """Compact counter-delta dict (nonzero fields only)."""
-    return {k: v for k, v in c.to_dict().items() if v}
-
-
 class Tracer:
     """Records typed events from one runtime; see the module docstring.
 
@@ -216,7 +211,7 @@ class Tracer:
 
     # -- shared-memory hooks ---------------------------------------------------------
     def on_region(self, label: str, start: float, span: float,
-                  spans: list[float], deltas: list[PerfCounters],
+                  spans: list[float], deltas: list[dict],
                   sizes: list[int] | None = None,
                   sequential: bool = False,
                   stalls: list[float] | None = None) -> None:
@@ -229,7 +224,7 @@ class Tracer:
         data = {
             "index": index,
             "spans": [float(s) for s in spans],
-            "deltas": [_nonzero(d) for d in deltas],
+            "deltas": deltas,
             "sequential": sequential,
         }
         if sizes is not None:

@@ -198,13 +198,13 @@ class DMRuntime:
         if self.observer is not None:
             self.observer.on_superstep_begin(self.superstep_index)
         faults = self.faults
-        crashes = faults.begin_superstep() if faults is not None else ()
+        crashes = faults.begin_step(range(self.P)) if faults is not None else ()
         for p in range(self.P):
-            snapshot = self._snapshot(p) if p in crashes else None
+            snapshot = faults.checkpoint(p) if p in crashes else None
             self._activate(p)
             body(p)
             if snapshot is not None:
-                faults.crash(p, snapshot, body)
+                faults.crash(p, snapshot, lambda: body(p))
         self._rank = None
         if faults is not None:
             faults.boundary()
@@ -230,25 +230,6 @@ class DMRuntime:
         self.superstep_index += 1
         if self.observer is not None:
             self.observer.on_superstep_end()
-
-    # -- crash checkpointing ---------------------------------------------------------
-    def _snapshot(self, p: int) -> dict:
-        """Everything ``body(p)`` may touch, captured just before it runs."""
-        return {
-            "windows": {k: a.copy() for k, a in self._windows.items()},
-            "mailbox": list(self._mailboxes[p]),
-            "in_flight": [len(box) for box in self._in_flight],
-            "staged": len(self._staged),
-        }
-
-    def _restore(self, p: int, snapshot: dict) -> None:
-        """Undo ``body(p)`` (processes run sequentially, so this is exact)."""
-        for k, a in snapshot["windows"].items():
-            self._windows[k][:] = a
-        self._mailboxes[p] = snapshot["mailbox"]
-        for dest, ln in enumerate(snapshot["in_flight"]):
-            del self._in_flight[dest][ln:]
-        del self._staged[snapshot["staged"]:]
 
     # -- Message Passing -----------------------------------------------------------
     def send(self, dest: int, payload: Any, nbytes: int | None = None,

@@ -18,14 +18,16 @@ the SM one (:mod:`repro.runtime.sm_faults`) -- share one contract:
 
 This module holds that shared machinery -- the seeded draw helpers,
 the combined :class:`FaultStats` tally, the stall/backoff accounting,
-and the plan validation/labeling helpers -- so the two runtime-specific
-injectors only implement what their machines actually perturb.
+the plan validation/labeling helpers and the crash/straggler step
+protocol -- so the two runtime-specific injectors only implement what
+their machines actually perturb.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -152,11 +154,14 @@ class FaultStats:
 
 
 class BaseFaultInjector:
-    """Seeded draw machinery shared by the DM and SM injectors.
+    """Seeded draw machinery and the step protocol of both injectors.
 
-    Subclasses provide :meth:`_step_index` (the superstep / region
-    index their events are stamped with) and may extend :meth:`reset`
-    via :meth:`_on_reset`.
+    A runtime drives each step (DM superstep, SM region) through
+    :meth:`begin_step`, a ``checkpoint(lane)`` of each doomed lane
+    before its body and :meth:`crash` after it.  Subclasses provide
+    ``checkpoint`` and ``_restore(lane, snapshot)`` (what one lane's
+    body can touch), :meth:`_step_index` (the index events are stamped
+    with), and may extend :meth:`reset` via :meth:`_on_reset`.
     """
 
     def __init__(self, rt, plan, recovery) -> None:
@@ -172,6 +177,8 @@ class BaseFaultInjector:
         #: (step, kind, *detail) -- the deterministic event schedule
         self.schedule: list[tuple] = []
         self._stall = 0.0      # barrier-level recovery wait (this step)
+        #: per-lane straggler slowdown of the current step
+        self._factors: list[float] = [1.0] * self.rt.P
         self._on_reset()
 
     def _on_reset(self) -> None:
@@ -180,6 +187,40 @@ class BaseFaultInjector:
     def _step_index(self) -> int:
         """The step (superstep / region) index events are stamped with."""
         raise NotImplementedError
+
+    # -- the step protocol ----------------------------------------------------------
+    def begin_step(self, lanes, allow_crash: bool = True) -> set[int]:
+        """Draw the step's crashes, then its stragglers, lane by lane;
+        returns the lanes doomed to crash."""
+        plan = self.plan
+        self._factors = [1.0] * self.rt.P
+        crashes: set[int] = set()
+        if plan.crash > 0 and allow_crash:
+            crashes = {t for t in lanes if self._hit(plan.crash)}
+        if plan.straggler > 0:
+            for t in lanes:
+                if self._hit(plan.straggler):
+                    self._factors[t] = plan.straggler_factor
+                    self.stats.stragglers += 1
+                    self._event("straggler", t)
+        return crashes
+
+    def crash(self, lane: int, snapshot, rerun: Callable[[], None]) -> None:
+        """Roll ``lane``'s failed attempt back to its checkpoint; under
+        checkpoint/restart, charge detection and restart to the barrier
+        and ``rerun`` the body.  The failed attempt's counters stay: the
+        work was done and lost, and the double execution is exactly the
+        rollback overhead that must stay visible in time."""
+        self._restore(lane, snapshot)
+        self.stats.crashes += 1
+        self._event("crash", lane)
+        rec = self.recovery
+        if rec is None or not rec.checkpoint_restart:
+            return                       # work lost; nobody notices in time
+        self._wait(rec.crash_timeout + rec.restart_penalty)
+        self.stats.restarts += 1
+        self._event("restart", lane)
+        rerun()
 
     # -- draw helpers ---------------------------------------------------------------
     def _hit(self, p: float) -> bool:

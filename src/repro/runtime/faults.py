@@ -140,61 +140,44 @@ class FaultInjector(BaseFaultInjector):
     """Perturbs one :class:`~repro.runtime.dm.DMRuntime` per its plan.
 
     Installed as ``rt.faults`` by :func:`attach_fault_injector`; the
-    runtime calls back at the three points where the simulated network
-    acts -- superstep begin (crash/straggler draws), ``rma_flush``
-    (staged-op completion), and the superstep boundary (message fates,
-    staged-op replay).  With ``recovery=None`` the faults hit raw.
+    runtime calls back at superstep begin (the shared step protocol),
+    ``rma_flush`` (staged-op completion), the superstep boundary
+    (message fates, staged-op replay) and ``alltoallv`` (cell fates).
+    With ``recovery=None`` the faults hit raw.
     """
 
     def _on_reset(self) -> None:
         self._held: list[tuple[int, int, tuple]] = []   # delayed messages
-        self._factors: list[float] = [1.0] * self.rt.P
 
     def _step_index(self) -> int:
         return self.rt.superstep_index
 
-    # -- superstep begin: crash and straggler draws ----------------------------------
-    def begin_superstep(self) -> set[int]:
-        plan, P = self.plan, self.rt.P
-        crashes: set[int] = set()
-        if plan.crash > 0:
-            crashes = {p for p in range(P) if self._hit(plan.crash)}
-        self._factors = [1.0] * P
-        if plan.straggler > 0:
-            for p in range(P):
-                if self._hit(plan.straggler):
-                    self._factors[p] = plan.straggler_factor
-                    self.stats.stragglers += 1
-                    self._event("straggler", p)
-        return crashes
-
     def straggler_factor(self, p: int) -> float:
         return self._factors[p]
 
-    # -- crash semantics -------------------------------------------------------------
-    def crash(self, p: int, snapshot, body) -> None:
-        """Roll back ``p``'s failed superstep attempt; rerun if recovering.
-
-        The failed attempt's *counters* are kept -- the work was done
-        and lost, and the double execution is exactly the rollback
-        overhead the acceptance criteria want visible in time.
-        """
+    # -- crash checkpointing ---------------------------------------------------------
+    def checkpoint(self, p: int) -> dict:
+        """Everything ``body(p)`` may touch, captured just before it runs."""
         rt = self.rt
-        rt._restore(p, snapshot)
-        self.stats.crashes += 1
-        self._event("crash", p)
-        if rt.observer is not None:
-            rollback = getattr(rt.observer, "on_rollback", None)
-            if rollback is not None:
-                rollback(p)
-        rec = self.recovery
-        if rec is None or not rec.checkpoint_restart:
-            return                       # work lost; nobody notices in time
-        self._wait(rec.crash_timeout + rec.restart_penalty)
-        self.stats.restarts += 1
-        self._event("restart", p)
-        rt._activate(p)
-        body(p)
+        return {
+            "windows": {k: a.copy() for k, a in rt._windows.items()},
+            "mailbox": list(rt._mailboxes[p]),
+            "in_flight": [len(box) for box in rt._in_flight],
+            "staged": len(rt._staged),
+        }
+
+    def _restore(self, p: int, snapshot: dict) -> None:
+        """Undo ``body(p)`` and have the epoch checker forget it."""
+        rt = self.rt
+        for k, a in snapshot["windows"].items():
+            rt._windows[k][:] = a
+        rt._mailboxes[p] = snapshot["mailbox"]
+        for dest, ln in enumerate(snapshot["in_flight"]):
+            del rt._in_flight[dest][ln:]
+        del rt._staged[snapshot["staged"]:]
+        rollback = getattr(rt.observer, "on_rollback", None)
+        if rollback is not None:
+            rollback(p)
 
     # -- staged RMA completion (called by rt.rma_flush) --------------------------------
     def flush_op(self, op) -> None:
@@ -258,7 +241,12 @@ class FaultInjector(BaseFaultInjector):
             self._held = still
         for dest in range(rt.P):
             for msg in rt._in_flight[dest]:
-                self._fate(msg, dest, processed)
+                copies, delayed = self._fate(msg[0], dest, msg[3], "", msg[2])
+                if delayed:                  # the original is held
+                    copies -= 1
+                    self._held.append(
+                        (rt.superstep_index + plan.delay_steps, dest, msg))
+                processed[dest] += [msg] * copies
             if (plan.reorder > 0 and len(processed[dest]) > 1
                     and self._hit(plan.reorder)):
                 perm = self.rng.permutation(len(processed[dest]))
@@ -272,103 +260,74 @@ class FaultInjector(BaseFaultInjector):
                 self._replay_op(op)
         rt._staged = [op for op in rt._staged if not op.applied]
 
-    def _fate(self, msg: tuple, dest: int, processed) -> None:
-        plan, rec, rt = self.plan, self.recovery, self.rt
-        src, _, tag, nbytes, _ = msg
+    def _fate(self, src: int, dest: int, nbytes: int, suffix: str,
+              *detail) -> tuple[int, bool]:
+        """Draw one message's or ``alltoallv`` cell's (``suffix="-a2a"``)
+        drop, duplicate and delay faults.  Returns ``(copies, delayed)``:
+        the deliveries it makes now (0 lost, 2 duplicated) and whether
+        a delay hit that no ack protocol waited out."""
+        plan, rec = self.plan, self.recovery
+        retry = rec is not None and rec.ack_retry
         attempts = 0
         while self._hit(plan.drop):
-            if rec is not None and rec.ack_retry:
-                if attempts >= rec.retry_limit:
-                    self.stats.retry_exhausted += 1
-                    break
-                attempts += 1
-                self.stats.retries += 1
-                self._event("retry", src, dest, tag)
-                c = rt.proc_counters[src]
-                c.messages += 1
-                c.msg_bytes += nbytes
-                self._wait(self._backoff(attempts))
-                continue
-            self.stats.dropped += 1
-            self._event("drop", src, dest, tag)
-            return
+            if not retry:
+                self.stats.dropped += 1
+                self._event("drop" + suffix, src, dest, *detail)
+                return 0, False
+            if attempts >= rec.retry_limit:
+                self.stats.retry_exhausted += 1
+                break
+            attempts += 1
+            self.stats.retries += 1
+            self._event("retry" + suffix, src, dest, *detail)
+            c = self.rt.proc_counters[src]
+            c.messages += 1
+            c.msg_bytes += nbytes
+            self._wait(self._backoff(attempts))
+        copies = 1
         if self._hit(plan.duplicate):
             self.stats.duplicates += 1
-            self._event("duplicate", src, dest, tag)
+            self._event("duplicate" + suffix, src, dest, *detail)
             if self.dedup:
                 self.stats.dup_suppressed += 1
             else:
-                processed[dest].append(msg)
-        if self._hit(plan.delay):
-            self.stats.delayed += 1
-            self._event("delay", src, dest, tag)
-            if rec is not None and rec.ack_retry:
-                self._wait(rec.delay_wait * plan.delay_steps)
-            else:
-                self._held.append(
-                    (rt.superstep_index + plan.delay_steps, dest, msg))
-                return
-        processed[dest].append(msg)
+                copies = 2
+        if not self._hit(plan.delay):
+            return copies, False
+        self.stats.delayed += 1
+        self._event("delay" + suffix, src, dest, *detail)
+        if retry:
+            self._wait(rec.delay_wait * plan.delay_steps)
+        return copies, not retry
 
     # -- alltoallv ------------------------------------------------------------------
     def perturb_alltoallv(self, received: list[list]) -> None:
         """Apply message faults per (sender, receiver) collective cell.
 
-        The collective completes as a unit, so recovery stalls (and
-        delays, which cannot partially deliver) are charged straight to
-        ``rt.time``; a drop without recovery voids the cell (``None``),
-        a duplicate without dedup appends the payload again.
+        The collective completes as a unit, so a delay always stalls
+        (it cannot partially deliver); a drop without recovery voids the
+        cell (``None``), a duplicate without dedup appends the payload
+        again.  It runs between supersteps, where the barrier stall is
+        empty, so its waits are charged straight to ``rt.time``.
         """
         rt, plan, rec = self.rt, self.plan, self.recovery
-        retry = rec is not None and rec.ack_retry
-        wait = 0.0
         for q in range(rt.P):
             extras = []
             for p in range(rt.P):
                 if p == q:
                     continue
                 payload = received[q][p]
-                nbytes = rt._payload_bytes(payload)
-                attempts = 0
-                lost = False
-                while self._hit(plan.drop):
-                    if retry:
-                        if attempts >= rec.retry_limit:
-                            self.stats.retry_exhausted += 1
-                            break
-                        attempts += 1
-                        self.stats.retries += 1
-                        self._event("retry-a2a", p, q)
-                        c = rt.proc_counters[p]
-                        c.messages += 1
-                        c.msg_bytes += nbytes
-                        backoff = self._backoff(attempts)
-                        wait += backoff
-                        self.stats.backoff_time += backoff
-                        continue
-                    lost = True
-                    self.stats.dropped += 1
-                    self._event("drop-a2a", p, q)
-                    break
-                if lost:
+                copies, delayed = self._fate(
+                    p, q, rt._payload_bytes(payload), "-a2a")
+                if copies == 0:
                     received[q][p] = None
-                    continue
-                if self._hit(plan.duplicate):
-                    self.stats.duplicates += 1
-                    self._event("duplicate-a2a", p, q)
-                    if self.dedup:
-                        self.stats.dup_suppressed += 1
-                    else:
-                        extras.append(payload)
-                if self._hit(plan.delay):
-                    self.stats.delayed += 1
-                    self._event("delay-a2a", p, q)
-                    stall = ((rec.delay_wait if rec is not None
-                              else RecoveryConfig.delay_wait) * plan.delay_steps)
-                    wait += stall
-                    self.stats.backoff_time += stall
+                extras += [payload] * (copies - 1)
+                if delayed:
+                    self._wait((rec.delay_wait if rec is not None
+                                else RecoveryConfig.delay_wait)
+                               * plan.delay_steps)
             received[q].extend(extras)
-        rt.time += wait
+        rt.time += self.consume_stall()
 
 
 def attach_fault_injector(rt, plan: FaultPlan,
@@ -380,6 +339,10 @@ def attach_fault_injector(rt, plan: FaultPlan,
     the seeded-bug mode the chaos tests use to prove the faults have
     teeth.  Composes with ``attach_dm_race_detector`` in either order.
     """
+    if not hasattr(rt, "superstep"):
+        raise TypeError(
+            "attach_fault_injector targets DMRuntime; use "
+            "attach_sm_fault_injector for the SM runtime")
     injector = FaultInjector(rt, plan, recovery)
     rt.faults = injector
     return injector

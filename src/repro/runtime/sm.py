@@ -174,11 +174,12 @@ class SMRuntime:
             # the serial phase is the conceptual master thread: it can
             # straggle but never crashes (like DM rank bookkeeping
             # between supersteps, which PR 3 also leaves uninjured)
-            faults.begin_region([thread], allow_crash=False)
-        snap = self.thread_counters[thread].copy() if tracer is not None else None
-        before = self.machine.time(self.thread_counters[thread])
+            faults.begin_step([thread], allow_crash=False)
+        counters = self.thread_counters[thread]
+        snap = counters.to_dict() if tracer is not None else None
+        before = self.machine.time(counters)
         body()
-        span = self.machine.time(self.thread_counters[thread]) - before
+        span = self.machine.time(counters) - before
         self.mem.region_end()
         stalls = None
         if faults is not None:
@@ -190,8 +191,8 @@ class SMRuntime:
         if tracer is not None:
             spans = [0.0] * self.P
             spans[thread] = span
-            deltas = [PerfCounters() for _ in range(self.P)]
-            deltas[thread] = self.thread_counters[thread] - snap
+            deltas: list[dict] = [{} for _ in range(self.P)]
+            deltas[thread] = counters.nonzero_delta(snap)
             tracer.on_region(self._label, t_start, span, spans, deltas,
                              sequential=True, stalls=stalls)
         if barrier:
@@ -228,22 +229,23 @@ class SMRuntime:
         spans = []
         deltas = []
         self.mem.region_begin()
-        crashed = (faults.begin_region(range(len(chunks)))
+        crashed = (faults.begin_step(range(len(chunks)))
                    if faults is not None else ())
         for t, chunk in enumerate(chunks):
             self._activate(t)
+            counters = self.thread_counters[t]
             # region-boundary checkpoint, taken only for the threads the
             # injector doomed: the pre-body array snapshot is what crash
             # recovery rolls back to before the rerun
-            ckpt = faults.checkpoint() if t in crashed else None
-            snap = self.thread_counters[t].copy() if tracer is not None else None
-            before = self.machine.time(self.thread_counters[t])
+            ckpt = faults.checkpoint(t) if t in crashed else None
+            snap = counters.to_dict() if tracer is not None else None
+            before = self.machine.time(counters)
             body(t, chunk)
             if ckpt is not None:
-                faults.crash(t, ckpt, lambda t=t, chunk=chunk: body(t, chunk))
-            spans.append(self.machine.time(self.thread_counters[t]) - before)
+                faults.crash(t, ckpt, lambda: body(t, chunk))
+            spans.append(self.machine.time(counters) - before)
             if tracer is not None:
-                deltas.append(self.thread_counters[t] - snap)
+                deltas.append(counters.nonzero_delta(snap))
         self.mem.region_end()
         stalls = None
         if faults is not None:

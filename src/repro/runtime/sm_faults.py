@@ -223,8 +223,9 @@ class SMFaultInjector(BaseFaultInjector):
 
     Installed as ``rt.faults`` by :func:`attach_sm_fault_injector`,
     which also wraps ``rt.mem`` in a :class:`FaultPerturbedMemory`.
-    The runtime calls back at region begin (crash/straggler draws),
-    region end (span stretch + lost-claim reverts), and the barrier
+    The runtime calls back at region begin (the shared step protocol:
+    crash/straggler draws, checkpoint, rollback), region end (span
+    stretch + lost-claim reverts), and the barrier
     (store-buffer fence + accumulated recovery stalls); the per-call
     CAS/lock/store faults arrive through the memory proxy.  With
     ``recovery=None`` the faults hit raw.
@@ -236,30 +237,13 @@ class SMFaultInjector(BaseFaultInjector):
         super().__init__(rt, plan, recovery)
 
     def _on_reset(self) -> None:
-        P = self.rt.P
-        self._factors = [1.0] * P
-        self._span_extra = [0.0] * P
+        #: per-thread lock-preempt waits of the current region
+        self._span_extra = [0.0] * self.rt.P
         self.mem._pending_stores.clear()
         self.mem._reverts.clear()
 
     def _step_index(self) -> int:
         return self.rt.region_count
-
-    # -- region begin: crash and straggler draws -------------------------------------
-    def begin_region(self, threads, allow_crash: bool = True) -> set[int]:
-        plan = self.plan
-        self._factors = [1.0] * self.rt.P
-        self._span_extra = [0.0] * self.rt.P
-        crashes: set[int] = set()
-        if plan.crash > 0 and allow_crash:
-            crashes = {t for t in threads if self._hit(plan.crash)}
-        if plan.straggler > 0:
-            for t in threads:
-                if self._hit(plan.straggler):
-                    self._factors[t] = plan.straggler_factor
-                    self.stats.stragglers += 1
-                    self._event("straggler", t)
-        return crashes
 
     # -- region end: span stretch + lost-claim corruption ------------------------------
     def end_region(self, spans: list[float]
@@ -274,12 +258,10 @@ class SMFaultInjector(BaseFaultInjector):
         out: list[float] = []
         stalls: list[float] = []
         for t, s in enumerate(spans):
-            factor = self._factors[t] if t < len(self._factors) else 1.0
-            extra = s * (factor - 1.0)
-            if t < len(self._span_extra):
-                extra += self._span_extra[t]
+            extra = s * (self._factors[t] - 1.0) + self._span_extra[t]
             out.append(s + extra)
             stalls.append(extra)
+        self._span_extra = [0.0] * self.rt.P
         self.mem.apply_reverts()
         return out, stalls
 
@@ -296,40 +278,22 @@ class SMFaultInjector(BaseFaultInjector):
             # barrier (BSP semantics) -- nobody pays for the fence
         return self.consume_stall()
 
-    # -- crash semantics -------------------------------------------------------------
-    def checkpoint(self) -> dict:
-        """Region-boundary snapshot: registered arrays + queue marks."""
+    # -- crash checkpointing ---------------------------------------------------------
+    def checkpoint(self, t: int) -> dict:
+        """Region-boundary snapshot: registered arrays + queue marks
+        (threads run sequentially, so it isolates ``t``'s writes)."""
         return {
             "arrays": {name: arr.copy()
                        for name, arr in self.mem._snapshot_arrays.items()},
             "marks": self.mem.queue_marks(),
         }
 
-    def crash(self, t: int, snapshot: dict, body) -> None:
-        """Roll back ``t``'s failed region attempt; rerun if recovering.
-
-        Threads execute sequentially in the simulation, so restoring
-        the pre-body snapshot undoes exactly the doomed thread's
-        writes.  The failed attempt's *counters* are kept -- the work
-        was done and lost, and the double execution is exactly the
-        rollback overhead that must stay visible in time (the PR 3
-        convention: detection timeout + restart are charged to the
-        barrier after the max span).
-        """
+    def _restore(self, t: int, snapshot: dict) -> None:
         for name, saved in snapshot["arrays"].items():
             live = self.mem._snapshot_arrays.get(name)
             if live is not None:
                 live[...] = saved
         self.mem.truncate_queues(snapshot["marks"])
-        self.stats.crashes += 1
-        self._event("crash", t)
-        rec = self.recovery
-        if rec is None or not rec.checkpoint_restart:
-            return                       # work lost; nobody notices in time
-        self._wait(rec.crash_timeout + rec.restart_penalty)
-        self.stats.restarts += 1
-        self._event("restart", t)
-        body()
 
     # -- per-call faults (dispatched by the memory proxy) ------------------------------
     def preempt_lock(self, t: int, handle) -> None:

@@ -42,9 +42,6 @@ class StreamMemory:
     def __init__(self, base: MemoryModel) -> None:
         self.base = base
 
-    def __getattr__(self, name):
-        return getattr(self.base, name)
-
     # -- replay -----------------------------------------------------------------
     def replay(self, ops: list[StreamOp], interleave: bool = False) -> None:
         """Consume a stream of ops issued by one kernel phase.
@@ -77,37 +74,16 @@ class StreamMemory:
 
     # -- fast-path pieces ---------------------------------------------------------
     def _tally(self, op: StreamOp) -> None:
-        """Event-counter contribution of one op (the verb rules of
-        :class:`MemoryModel`, summed over segments)."""
-        c = self.base.counters
-        n = op.total
-        verb = op.verb
-        if verb == "read":
-            c.reads += n
-        elif verb == "write":
-            c.writes += n
-        elif verb == "faa":
-            c.atomics += n
-            c.faa += n
-            if op.batched:
-                c.atomics_batched += n
-            c.reads += n
-            c.writes += n
-            c.branches_uncond += n
-        elif verb == "cas":
-            c.atomics += n
-            c.cas += n
-            if op.batched:
-                c.atomics_batched += n
-            c.reads += n
-            succ = n if op.successes is None else int(op.successes.sum())
-            c.writes += succ
-            c.branches_uncond += n
-        else:  # lock
-            c.locks += n
-            c.reads += n
-            c.writes += n
-            c.branches_uncond += n
+        """Event counters of one op: its own verb over the op's total,
+        at ``mode="cached"``, which counts every event but leaves the
+        cache model to the caller."""
+        kwargs = {}
+        if op.verb in ("faa", "cas"):
+            kwargs["batched"] = op.batched
+        if op.verb == "cas" and op.successes is not None:
+            kwargs["successes"] = int(op.successes.sum())
+        getattr(self.base, op.verb)(op.handle, count=op.total, mode="cached",
+                                    **kwargs)
 
     @staticmethod
     def _merged_addresses(ops: list[StreamOp], interleave: bool) -> np.ndarray:

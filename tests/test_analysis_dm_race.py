@@ -13,9 +13,10 @@ from repro.algorithms.dm_pagerank import dm_pagerank
 from repro.algorithms.dm_triangle import dm_triangle_count
 from repro.analysis.crosscheck import dm_crosscheck
 from repro.analysis.dm_race import attach_dm_race_detector
-from repro.analysis.runner import DM_MATRIX, analyze_dm, cross_edges
+from repro.analysis.runner import DM_MATRIX, analyze_dm
 from repro.analysis.race import RaceError
 from repro.generators import erdos_renyi
+from repro.graph.partition_strategies import edge_cut
 from repro.machine.cost_model import XC40
 from repro.machine.counters import PerfCounters
 from repro.runtime.dm import DMRuntime
@@ -317,10 +318,10 @@ class TestDMCrosscheck:
     def test_cross_edges_counts_cut(self):
         g = small_graph()
         rt = make_rt(n=g.n, P=4)
-        mc = cross_edges(g, rt.part)
+        mc = edge_cut(g, rt.part)
         assert 0 < mc <= g.m * 2
         one = DMRuntime(g.n, 1, machine=XC40.scaled(64))
-        assert cross_edges(g, one.part) == 0
+        assert edge_cut(g, one.part) == 0
 
 
 class TestKernelMatrix:

@@ -3,8 +3,7 @@
 The committed ``BENCH_history.jsonl`` is pinned against a fresh
 snapshot of the committed ``BENCH_trace.json`` (both are deterministic),
 the trend/regression math is unit-tested on synthetic timelines, and
-the ``repro bench history`` / ``bench diff --history`` CLI paths are
-exercised end to end.
+the ``repro bench history`` CLI path is exercised end to end.
 """
 
 import copy
@@ -157,14 +156,3 @@ class TestHistoryCLI:
               "--stamp"])
         last = load_history(str(hist))[-1]
         assert last["recorded"].endswith("Z")
-
-    def test_diff_history_link_appends_and_renders(self, tmp_path, capsys):
-        """`bench diff --history` records the candidate on the timeline
-        and prints the trend after the diff verdict."""
-        hist, cand = self._seed(tmp_path, 1.0)
-        rc = main(["bench", "diff", "BENCH_trace.json", str(cand),
-                   "--history", str(hist), "--history-label", "post"])
-        assert rc in (0, None)
-        out = capsys.readouterr().out
-        assert "seed -> post" in out
-        assert len(load_history(str(hist))) == 2

@@ -183,6 +183,11 @@ class TestDeterminism:
             empty = FaultPlan(seed=5)
         assert empty.label().endswith("(none)")
 
+    def test_attach_rejects_sm_runtime(self, g):
+        from repro.runtime.sm import SMRuntime
+        with pytest.raises(TypeError, match="attach_sm_fault_injector"):
+            attach_fault_injector(SMRuntime(g, P), FaultPlan(seed=0, crash=0.1))
+
 
 # ---------------------------------------------------------------------------
 # fault classes: seeded-bug mode (no recovery) vs recovery

@@ -332,13 +332,13 @@ class TestEdgeCut:
     """rollup["cut"] agrees with the analysis layer's cut accounting."""
 
     def test_cut_matches_cross_edges(self):
-        from repro.analysis.runner import cross_edges
+        from repro.graph.partition_strategies import edge_cut
         tracer = _trace("pagerank", variant="push", dm=True)
         rt = tracer.rt
         roll = metrics_rollup(tracer)
         cut = roll["cut"]
         g = tracer_graph()
-        assert cut["edges_cross"] == cross_edges(g, rt.part)
+        assert cut["edges_cross"] == edge_cut(g, rt.part)
         assert sum(cut["per_lane_out"]) == cut["edges_cross"]
         assert 0.0 < cut["fraction"] <= 1.0
 

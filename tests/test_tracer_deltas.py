@@ -1,8 +1,8 @@
 """The tracer's counter deltas and the rollup fold against the old path.
 
-A DM superstep's trace event carries each rank's nonzero counter delta,
-and :class:`~repro.observability.sinks.RollupSink` folds it into the
-``repro-metrics/3`` rollup.  The tracer used to snapshot
+A DM superstep's or SM region's trace event carries each lane's nonzero
+counter delta, and :class:`~repro.observability.sinks.RollupSink` folds
+it into the ``repro-metrics/3`` rollup.  Both runtimes used to snapshot
 :class:`~repro.machine.counters.PerfCounters` copies, subtract them
 (``PerfCounters.__sub__``) and keep the nonzero fields; the fold
 priced the bounding lane's communication through
@@ -168,7 +168,9 @@ def _observe(cell: dict, sink: str) -> dict:
 
 def _observe_old(monkeypatch, cell: dict, sink: str) -> dict:
     with monkeypatch.context() as m:
-        m.setattr(tracer, "_nonzero", old_nonzero)
+        # SM regions build their deltas through nonzero_delta
+        m.setattr(PerfCounters, "nonzero_delta",
+                  lambda c, before: old_nonzero(c - PerfCounters(**before)))
         # Tracer.fold and SamplingSink build their rollups by these names
         m.setattr(tracer, "RollupSink", OldRollup)
         m.setattr(sinks, "RollupSink", OldRollup)
