@@ -15,9 +15,13 @@ back-invalidates, so the levels are not inclusive.  The data TLB gets
 one lookup per simulated line, over 4 KiB pages by default
 (``TLBSpec.page_bytes``); there is no instruction TLB.
 
-The simulator accepts *batches* of addresses as NumPy arrays so the
-instrumentation layer can report one vectorized access per adjacency
-list instead of one Python call per element.
+One :meth:`CacheSim.access` call takes a whole batch of addresses -- an
+integer, a ``range`` for a streaming scan, or an array -- so the
+instrumentation layer reports one access per adjacency list instead of
+one call per element.  Each collapsed line then walks L1 → L2 → L3 in
+one loop, which is the filter chain above line by line; see
+``docs/modeling.md`` §2 for why that is exact and which inputs skip
+NumPy.
 """
 
 from __future__ import annotations
@@ -87,24 +91,17 @@ class _SetAssocLevel:
                      for _ in range(n_sets)]
         self.misses = 0
 
-    def filter(self, lines: list[int]) -> list[int]:
-        """Access ``lines`` in order; return the ones that missed, in order."""
-        sets, n_sets = self.sets, self.n_sets
-        missed = []
-        for line in lines:
-            s = sets[line % n_sets]
-            if line in s:
-                del s[line]
-            else:
-                missed.append(line)
-                del s[next(iter(s))]
-            s[line] = None
-        self.misses += len(missed)
-        return missed
-
     def access(self, line: int) -> bool:
         """Access one line address; return True on hit."""
-        return not self.filter([line])
+        s = self.sets[line % self.n_sets]
+        hit = line in s
+        if hit:
+            del s[line]
+        else:
+            del s[next(iter(s))]
+            self.misses += 1
+        s[line] = None
+        return hit
 
 
 class _TLB(_SetAssocLevel):
@@ -126,6 +123,11 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return keep
 
 
+#: batches up to this many addresses become lines in Python: below it,
+#: NumPy's per-call costs exceed the work
+_SMALL = 16
+
+
 class CacheSim:
     """An L1/L2/L3 + data-TLB simulator fed with byte addresses.
 
@@ -141,38 +143,117 @@ class CacheSim:
     def __init__(self, spec: CacheHierarchySpec | None = None) -> None:
         self.spec = spec or CacheHierarchySpec()
         self.line_bytes = self.spec.l1.line_bytes
+        self.page_bytes = self.spec.tlb.page_bytes
         self.l1 = _SetAssocLevel(self.spec.l1)
         self.l2 = _SetAssocLevel(self.spec.l2)
         self.l3 = _SetAssocLevel(self.spec.l3)
         self.tlb = _TLB(self.spec.tlb)
         self.accesses = 0
 
-    def access(self, addrs: np.ndarray | int) -> None:
-        """Simulate accesses for a batch of byte addresses (in order).
+    def access(self, addrs) -> tuple[int, int, int, int]:
+        """Simulate accesses for byte addresses, in order; return this
+        call's ``(l1, l2, l3, tlb)`` miss counts.
 
-        Consecutive duplicate lines are collapsed (they would hit in L1
-        anyway and collapsing keeps the Python loops short for streaming
-        scans).  Consecutive duplicate pages of the kept lines are
-        collapsed too: a repeat of the MRU page hits and leaves the LRU
-        order as it was.
+        ``addrs`` is one integer, a ``range`` (a streaming scan) or any
+        array-like.  Consecutive duplicate lines are collapsed (they
+        would hit in L1 anyway and collapsing keeps the Python loops
+        short for streaming scans).  Consecutive duplicate pages of the
+        kept lines are collapsed too: a repeat of the MRU page hits and
+        leaves the LRU order as it was.
         """
-        page_bytes = self.spec.tlb.page_bytes
-        if np.isscalar(addrs):
-            a = int(addrs)
-            lines = [a // self.line_bytes]
-            pages = [a // page_bytes]
-        else:
-            addrs = np.asarray(addrs, dtype=np.int64)
-            if addrs.size == 0:
-                return
-            lines = addrs // self.line_bytes
-            keep = _run_starts(lines)
-            pages = addrs[keep] // page_bytes
-            pages = pages[_run_starts(pages)].tolist()
-            lines = lines[keep].tolist()
+        lines, pages = self._lines_pages(addrs)
         self.accesses += len(lines)
-        self.tlb.filter(pages)
-        self.l3.filter(self.l2.filter(self.l1.filter(lines)))
+        l1, l2, l3 = self.l1, self.l2, self.l3
+        sets1, n1 = l1.sets, l1.n_sets
+        sets2, n2 = l2.sets, l2.n_sets
+        sets3, n3 = l3.sets, l3.n_sets
+        m1 = m2 = m3 = 0
+        # One walk down the hierarchy per line: the same chain of
+        # filters as L1 over every line, then L2 over L1's misses in
+        # order, then L3 over L2's, since no level reads another's
+        # state.  ``for lru in s: break`` names a set's first key
+        # without the two builtin calls of ``next(iter(s))``.
+        for line in lines:
+            s = sets1[line % n1]
+            if line in s:
+                del s[line]
+                s[line] = None
+                continue
+            for lru in s:
+                break
+            del s[lru]
+            s[line] = None
+            m1 += 1
+            s = sets2[line % n2]
+            if line in s:
+                del s[line]
+                s[line] = None
+                continue
+            for lru in s:
+                break
+            del s[lru]
+            s[line] = None
+            m2 += 1
+            s = sets3[line % n3]
+            if line in s:
+                del s[line]
+            else:
+                for lru in s:
+                    break
+                del s[lru]
+                m3 += 1
+            s[line] = None
+        s = self.tlb.sets[0]
+        mt = 0
+        for page in pages:
+            if page in s:
+                del s[page]
+            else:
+                for lru in s:
+                    break
+                del s[lru]
+                mt += 1
+            s[page] = None
+        l1.misses += m1
+        l2.misses += m2
+        l3.misses += m3
+        self.tlb.misses += mt
+        return m1, m2, m3, mt
+
+    def _lines_pages(self, addrs):
+        """The collapsed line and page sequences of ``addrs``."""
+        lb, pb = self.line_bytes, self.page_bytes
+        if isinstance(addrs, (int, np.integer)):
+            a = int(addrs)
+            return (a // lb,), (a // pb,)
+        if isinstance(addrs, range):
+            # a step of at most one line touches every line from the
+            # first to the last, and when pages hold whole lines, every
+            # page from the first to the last
+            if addrs and 0 < addrs.step <= lb and pb % lb == 0:
+                first, last = addrs[0], addrs[-1]
+                return (range(first // lb, last // lb + 1),
+                        range(first // pb, last // pb + 1))
+            addrs = np.arange(addrs.start, addrs.stop, addrs.step,
+                              dtype=np.int64)
+        a = np.asarray(addrs, dtype=np.int64).ravel()
+        if a.size <= _SMALL:
+            lines, pages = [], []
+            prev = prev_page = None
+            for x in a.tolist():
+                line = x // lb
+                if line != prev:
+                    prev = line
+                    lines.append(line)
+                    page = x // pb
+                    if page != prev_page:
+                        prev_page = page
+                        pages.append(page)
+            return lines, pages
+        lines = a // lb
+        keep = _run_starts(lines)
+        pages = a[keep] // pb
+        return lines[keep].tolist(), pages[_run_starts(pages)].tolist()
 
     # -- results --------------------------------------------------------------
     @property

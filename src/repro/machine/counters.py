@@ -65,8 +65,9 @@ class PerfCounters:
             **{k: getattr(self, k) + getattr(other, k) for k in _FIELDS})
 
     def __iadd__(self, other: "PerfCounters") -> "PerfCounters":
-        for k in _FIELDS:
-            setattr(self, k, getattr(self, k) + getattr(other, k))
+        mine = self.__dict__
+        for k, v in other.__dict__.items():
+            mine[k] += v
         return self
 
     def __sub__(self, other: "PerfCounters") -> "PerfCounters":

@@ -502,25 +502,23 @@ class CacheSimMemory(MemoryModel):
             # A streaming range: (start, count) when the caller knows the
             # position, else synthesized from the array base (the line/page
             # counts of a sequential sweep do not depend on the position).
-            first = 0 if start is None else int(start)
-            self._simulate(handle.base + (first + np.arange(n, dtype=np.int64))
-                           * handle.itemsize)
-        elif np.isscalar(idx):
+            size = handle.itemsize
+            first = handle.base + (0 if start is None else int(start)) * size
+            self._simulate(range(first, first + n * size, size))
+        elif type(idx) is int or np.isscalar(idx):
             self._simulate(handle.base + int(idx) * handle.itemsize)
         else:
             self._simulate(handle.addr(idx))
 
-    def _simulate(self, addrs: np.ndarray | int) -> None:
+    def _simulate(self, addrs) -> None:
         """Run ``addrs`` through the current thread's simulator and add
         its miss deltas to the current counters."""
-        sim = self._sims[self._thread]
+        l1, l2, l3, tlb = self._sims[self._thread].access(addrs)
         c = self.counters
-        b1, b2, b3, bt = sim.l1.misses, sim.l2.misses, sim.l3.misses, sim.tlb.misses
-        sim.access(addrs)
-        c.l1_misses += sim.l1.misses - b1
-        c.l2_misses += sim.l2.misses - b2
-        c.l3_misses += sim.l3.misses - b3
-        c.tlb_d_misses += sim.tlb.misses - bt
+        c.l1_misses += l1
+        c.l2_misses += l2
+        c.l3_misses += l3
+        c.tlb_d_misses += tlb
 
 
 class MemoryProxy:

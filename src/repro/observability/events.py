@@ -76,9 +76,14 @@ RECOVERY_KINDS = frozenset({
 })
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceEvent:
-    """One typed, simulated-time-stamped trace record."""
+    """One typed, simulated-time-stamped trace record.
+
+    Every sink receives the same instance, so none may change it.  It
+    is not frozen because a frozen dataclass pays one
+    ``object.__setattr__`` per field on every emission.
+    """
 
     seq: int                  #: emission index (total order of the run)
     kind: str                 #: event kind (see module docstring)
@@ -110,13 +115,31 @@ class TraceEvent:
         return 176 + 49 + len(self.label) + approx_value_nbytes(self.data)
 
 
+#: exact item types charged in bulk: 28 bytes each, a string 49 plus
+#: its length (any other item takes the walk)
+_SCALARS = frozenset((int, float, bool, type(None)))
+_LEAVES = _SCALARS | {str}
+
+
 def approx_value_nbytes(v) -> int:
     """Approximate heap bytes of one JSON-shaped value (see above)."""
     if isinstance(v, dict):
-        return 64 + sum(56 + len(k) + approx_value_nbytes(x)
-                        for k, x in v.items())
+        return 64 + 56 * len(v) + sum(map(len, v)) + _items_nbytes(v.values())
     if isinstance(v, (list, tuple)):
-        return 56 + sum(8 + approx_value_nbytes(x) for x in v)
+        return 56 + 8 * len(v) + _items_nbytes(v)
     if isinstance(v, str):
         return 49 + len(v)
     return 28
+
+
+def _items_nbytes(items) -> int:
+    """``sum(map(approx_value_nbytes, items))``, with no call per item
+    when every item is a scalar or a string (counter deltas, spans,
+    verb payloads)."""
+    types = set(map(type, items))
+    if types <= _SCALARS:
+        return 28 * len(items)
+    if types <= _LEAVES:
+        strs = [x for x in items if type(x) is str]
+        return 28 * len(items) + 21 * len(strs) + sum(map(len, strs))
+    return sum(map(approx_value_nbytes, items))

@@ -141,7 +141,8 @@ class BufferSink(TraceSink):
     def on_event(self, ev: TraceEvent) -> None:
         self.events.append(ev)
         self._nbytes += ev.approx_nbytes()
-        self._mark()
+        if self._nbytes > self.peak_nbytes:
+            self.peak_nbytes = self._nbytes
 
     def on_reset(self) -> None:
         self.events = []

@@ -184,9 +184,8 @@ class Tracer:
     def _emit(self, kind: str, ts: float, dur: float = 0.0,
               lane: int | None = None, label: str = "",
               data: dict | None = None) -> None:
-        ev = TraceEvent(
-            seq=self._seq, kind=kind, ts=float(ts), dur=float(dur),
-            lane=lane, label=label, data=data or {})
+        ev = TraceEvent(self._seq, kind, float(ts), float(dur), lane, label,
+                        data or {})
         self._seq += 1
         self.n_events += 1
         self.kind_counts[kind] = self.kind_counts.get(kind, 0) + 1

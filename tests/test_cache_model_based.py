@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from repro.machine.cache import (
-    CacheHierarchySpec, CacheLevelSpec, CacheSim, _SetAssocLevel,
+    _SMALL, CacheHierarchySpec, CacheLevelSpec, CacheSim, TLBSpec,
+    _SetAssocLevel,
 )
 from repro.machine.cost_model import XC30
+from repro.machine.memory import CacheSimMemory
 from tests.test_cache import tiny_spec
 
 
@@ -128,14 +130,16 @@ def _counts(sim: CacheSim) -> tuple:
 def _batches(rng: np.random.Generator, spec: CacheHierarchySpec,
              n_calls: int):
     """Seeded address batches: streaming runs, random gathers, scalars,
-    a hot line interleaved with a stream, and same-page runs split
-    across two calls.  Streams cover eight L3s, gathers eight L3s or two
-    L2s, the hot line's stream two L2s, so every level both hits and
-    misses."""
+    a hot line interleaved with a stream, same-page runs split across
+    two calls, ``range`` scans, NumPy scalars and 0-d arrays, and
+    arrays at the small-array cutoff.  Streams cover eight L3s, gathers
+    eight L3s or two L2s, the hot line's stream two L2s, so every level
+    both hits and misses."""
     # 8-byte element index ranges spanning eight L3s and two L2s
     far, near = spec.l3.size_bytes, spec.l2.size_bytes // 4
+    page = spec.tlb.page_bytes
     for _ in range(n_calls):
-        kind = rng.integers(5)
+        kind = rng.integers(8)
         base = int(rng.integers(0, far)) * 8
         if kind == 0:    # streaming run, with repeated elements
             itemsize = int(rng.choice([4, 8]))
@@ -151,17 +155,33 @@ def _batches(rng: np.random.Generator, spec: CacheHierarchySpec,
                 0, int(rng.integers(2, 40)) * 64, 64, dtype=np.int64)
             hot = np.full(stream.size, rng.integers(0, near) * 8)
             yield np.column_stack([hot, stream]).ravel()
-        else:            # one page, split mid-line across two calls
-            page = base - base % 4096
-            run = page + np.arange(0, 4096, 8, dtype=np.int64)
+        elif kind == 4:  # one page, split mid-line across two calls
+            first = base - base % page
+            run = first + np.arange(0, page, 8, dtype=np.int64)
             cut = int(rng.integers(1, run.size))
             yield run[:cut]
             yield run[cut:]
+        elif kind == 5:  # a range scan: unaligned, page-crossing, empty
+            step = int(rng.choice([4, 8]))
+            start = base + int(rng.integers(step))
+            if rng.integers(2):  # end just past a page boundary
+                stop = start - start % page + page * int(rng.integers(1, 3)) + 8
+            else:
+                stop = start + step * int(rng.integers(0, 400))
+            yield range(start, stop, step)
+        elif kind == 6:  # NumPy integer scalars and 0-d arrays
+            yield (np.uint64(base), np.int32(base), np.array(base),
+                   np.array(base, dtype=np.int32))[rng.integers(4)]
+        else:            # just under, at and over the small-array cutoff
+            n = _SMALL + int(rng.integers(-1, 2))
+            yield base + np.sort(rng.integers(0, 64 * n, n)) * 8
 
 
 class TestHierarchyAgainstReference:
-    """``CacheSim.access`` (each level filters the misses of the level
-    above) against the per-line reference, compared after every call."""
+    """``CacheSim.access`` (one walk per line down L1, L2, L3; ``range``,
+    scalar and small-array inputs turned into lines without NumPy)
+    against the per-line reference: the totals and each call's returned
+    miss deltas, compared after every call."""
 
     def _replay(self, spec: CacheHierarchySpec, n_sims: int, seed: int) -> None:
         sims = [CacheSim(spec) for _ in range(n_sims)]
@@ -171,10 +191,13 @@ class TestHierarchyAgainstReference:
             sim.l3 = sims[0].l3
             refs.append(_ReferenceSim(spec, l3=refs[0].l3))
         rng = np.random.default_rng(seed)
-        for call, addrs in enumerate(_batches(rng, spec, 400)):
+        for call, addrs in enumerate(_batches(rng, spec, 600)):
             k = int(rng.integers(n_sims))
-            sims[k].access(addrs)
+            before = refs[k].counts()
+            got = sims[k].access(addrs)
             refs[k].access(addrs)
+            want = tuple(b - a for a, b in zip(before, refs[k].counts()))
+            assert got == want[1:], f"call {call}"
             for sim, ref in zip(sims, refs):
                 assert _counts(sim) == ref.counts(), f"call {call}"
         assert all(ref.l3.misses > 0 and ref.tlb_misses > 0 for ref in refs)
@@ -191,3 +214,45 @@ class TestHierarchyAgainstReference:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_two_sims_share_one_l3(self, seed):
         self._replay(XC30.scaled(64).hierarchy, 2, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_pages_split_lines(self, seed):
+        """Pages of 1,000 bytes split lines, so a ``range`` takes the
+        array path: a line's page is the page of its first address."""
+        spec = CacheHierarchySpec(
+            l1=CacheLevelSpec(512, 2, 64), l2=CacheLevelSpec(2048, 4, 64),
+            l3=CacheLevelSpec(8192, 4, 64), tlb=TLBSpec(4, 1000))
+        self._replay(spec, 1, seed)
+
+    def test_wide_and_backward_ranges(self):
+        """Steps over one line, and negative steps, take the array path."""
+        spec = tiny_spec()
+        sim, ref = CacheSim(spec), _ReferenceSim(spec)
+        for addrs in (range(0, 9000, 100), range(9000, 0, -8),
+                      range(4000, 4100, 64), range(64, 0, -1), range(5, 5)):
+            sim.access(addrs)
+            ref.access(np.arange(addrs.start, addrs.stop, addrs.step))
+            assert _counts(sim) == ref.counts(), addrs
+
+
+class TestScanDescriptors:
+    """A streaming ``read(h, count=n, start=s)`` reaches the simulator
+    as a ``range``; the same items as an index array must leave every
+    counter the same, after every call."""
+
+    @pytest.mark.parametrize("itemsize", [4, 8])
+    def test_range_equals_index_array(self, itemsize):
+        spec = XC30.scaled(64).hierarchy
+        scan, gather = CacheSimMemory(spec), CacheSimMemory(spec)
+        hs = scan.register("x", 200_000, itemsize=itemsize)
+        hg = gather.register("x", 200_000, itemsize=itemsize)
+        rng = np.random.default_rng(itemsize)
+        for call in range(300):
+            n = int(rng.choice([0, 1, 2, _SMALL, _SMALL + 1,
+                                int(rng.integers(1, 3000))]))
+            s = int(rng.integers(0, 200_000 - n))
+            scan.read(hs, count=n, start=s)
+            gather.read(hg, idx=np.arange(s, s + n), mode="seq")
+            assert (scan.counters.to_dict()
+                    == gather.counters.to_dict()), f"call {call}"
+        assert scan.counters.l3_misses > 0 and scan.counters.tlb_d_misses > 0

@@ -21,6 +21,9 @@ move with any change to what a kernel computed.
 Regenerate only for a change that is meant to move a schedule::
 
     PYTHONPATH=src python tests/test_fault_schedule_pins.py
+
+:func:`test_alltoallv_waits_are_pinned` pins one more thing, where
+``FaultInjector.perturb_alltoallv`` charges its waits; see there.
 """
 
 from __future__ import annotations
@@ -41,6 +44,8 @@ from repro.analysis.runner import (
 from repro.kernels import BY_LABEL, launch
 from repro.machine.cost_model import XC30, XC40
 from repro.machine.memory import CountingMemory
+from repro.observability.driver import run_traced
+from repro.observability.export import to_jsonl_lines
 from repro.runtime.dm import DMRuntime
 from repro.runtime.faults import RecoveryConfig, attach_fault_injector
 from repro.runtime.sm import SMRuntime
@@ -125,6 +130,36 @@ def test_fixture_covers_every_chaos_run(pins):
 @pytest.mark.parametrize("run", RUNS, ids=_key)
 def test_schedule_and_accounting_are_pinned(pins, run):
     assert observe(run) == pins[_key(run)]
+
+
+#: sha256 of the JSONL lines of ``repro trace pagerank --variant mp --dm
+#: --faults --fault-seed S`` (er, n=96, P=4, cache scale 64)
+ALLTOALLV_TRACES = {
+    0: "ce337829a71d28199e125425cea534909c1b126c7ab94a45e01454b9ec88af53",
+    1: "bf35d5ab0540d5f978081f96c2865bd4d8758e0abb6edb26421783c756491493",
+    2: "910d995fa9f639ab16a4fc65c5906234c29d7bdf7d81c296dab69fbf0c3a59cc",
+    3: "55f28045012aee51aa45bcf5776d3b94bee630939f956f8a4125c59c0e02a68b",
+}
+
+
+@pytest.mark.parametrize("fault_seed", sorted(ALLTOALLV_TRACES))
+def test_alltoallv_waits_are_pinned(fault_seed):
+    """DM PageRank ``mp`` under faults, traced, against a recorded tree.
+
+    ``perturb_alltoallv`` ends the collective with ``rt.time +=
+    self.consume_stall()``.  Without that line the stall stays pending
+    and the next superstep charges it at its barrier: ``rt.time``,
+    stats and schedules stay the same, and only the trace's stall
+    events move, so the schedule pins above cannot see it; this trace
+    hash does.  The runs also drive each rank's cache simulator under
+    faults.  ROADMAP item 5 (``alltoallv`` inside a superstep) moves
+    these waits into the barrier stall on purpose and must re-record
+    the hashes.
+    """
+    _, tr, _, _ = run_traced("pagerank", "mp", dm=True, faults=True,
+                             fault_seed=fault_seed)
+    lines = "\n".join(to_jsonl_lines(tr)).encode()
+    assert hashlib.sha256(lines).hexdigest() == ALLTOALLV_TRACES[fault_seed]
 
 
 if __name__ == "__main__":

@@ -6,8 +6,9 @@ it into the ``repro-metrics/3`` rollup.  Both runtimes used to snapshot
 :class:`~repro.machine.counters.PerfCounters` copies, subtract them
 (``PerfCounters.__sub__``) and keep the nonzero fields; the fold
 priced the bounding lane's communication through
-``MachineSpec.time_parts(PerfCounters(**delta))``.  The copies below
-keep that path test-locally; every cell runs once through it and once
+``MachineSpec.time_parts(PerfCounters(**delta))``, and the sinks sized
+every retained value with an element-wise walk.  The copies below keep
+that path test-locally; every cell runs once through it and once
 through the shipped one, and the event stream, the rollup document, the
 traced totals and every peak-bytes figure must be equal.
 """
@@ -21,7 +22,7 @@ import pytest
 
 from repro.machine.cost_model import MACHINES
 from repro.machine.counters import PerfCounters
-from repro.observability import driver, sinks, tracer
+from repro.observability import driver, events, sinks, tracer
 from repro.observability.events import approx_value_nbytes
 from repro.observability.export import _dumps, to_jsonl_lines
 
@@ -36,6 +37,18 @@ def old_to_dict(c: PerfCounters) -> dict:
 
 def old_nonzero(c: PerfCounters) -> dict:
     return {k: v for k, v in old_to_dict(c).items() if v}
+
+
+def old_value_nbytes(v) -> int:
+    """The element-wise walk behind a sink's retained-bytes charge."""
+    if isinstance(v, dict):
+        return 64 + sum(56 + len(k) + old_value_nbytes(x)
+                        for k, x in v.items())
+    if isinstance(v, (list, tuple)):
+        return 56 + sum(8 + old_value_nbytes(x) for x in v)
+    if isinstance(v, str):
+        return 49 + len(v)
+    return 28
 
 
 def old_comm_parts(m, c: PerfCounters) -> dict:
@@ -99,7 +112,7 @@ class OldRollup(sinks.RollupSink):
                 "label": ev.label, "ts": ev.ts, "time": ev.dur,
                 "counters": counters}
         self._steps.append(step)
-        self._nbytes += 64 + approx_value_nbytes(step)
+        self._nbytes += 64 + old_value_nbytes(step)
         self._mark()
         agg = self._phases.get(ev.label)
         if agg is None:
@@ -138,7 +151,7 @@ class OldRollup(sinks.RollupSink):
                     "label": ev.label, "lane": bl, "time": dur,
                     "compute": cp, "comm": cm, "injected": inj}
         self._intervals.append(interval)
-        self._nbytes += 64 + approx_value_nbytes(interval)
+        self._nbytes += 64 + old_value_nbytes(interval)
         self._mark()
 
 
@@ -174,6 +187,9 @@ def _observe_old(monkeypatch, cell: dict, sink: str) -> dict:
         # Tracer.fold and SamplingSink build their rollups by these names
         m.setattr(tracer, "RollupSink", OldRollup)
         m.setattr(sinks, "RollupSink", OldRollup)
+        # every sink sizes its rows and events by these names
+        m.setattr(events, "approx_value_nbytes", old_value_nbytes)
+        m.setattr(sinks, "approx_value_nbytes", old_value_nbytes)
 
         def attach(rt, graph=None, sinks=None):
             rt.tracer = OldTracer(rt, graph=graph, sinks=sinks)
@@ -259,6 +275,30 @@ def test_nonzero_delta_matches_subtraction(seed):
     # negative fields included: a need not dominate b
     assert a.nonzero_delta(before) == old_nonzero(a - b)
     assert list(a.nonzero_delta(before)) == list(old_nonzero(a - b))
+
+
+class _Tag(str):
+    pass
+
+
+def test_value_nbytes_matches_the_walk():
+    """The bulk charges of scalar and string items equal the walk, and
+    subclasses, tuples, NumPy scalars and nesting fall back to it."""
+    from collections import OrderedDict
+    from enum import IntEnum
+
+    Level = IntEnum("Level", "LOW HIGH")
+    leaves = [0, -3, 2.5, True, None, "", "window", _Tag("tag"),
+              np.int64(4), np.float32(1.5), Level.HIGH]
+    values = [{}, [], (), leaves, tuple(leaves), [1, 2.0, None, False],
+              {"a": 1, "bb": 2.0, "ccc": None, "d": True},
+              {"owner": 1, "window": "dmpr.rank", "dtype": None},
+              {"tag": _Tag("x")}, OrderedDict(a=1, b="two"),
+              {"deltas": [{"reads": 3}, {}], "spans": [1.0, 2.0],
+               "detail": [0, "drop", (1, "x")]},
+              [[1, 2], {"k": [None, "v"]}, "s"], "plain", 7, None]
+    for v in values:
+        assert approx_value_nbytes(v) == old_value_nbytes(v), v
 
 
 @pytest.mark.parametrize("name", sorted(MACHINES))
