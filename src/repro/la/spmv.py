@@ -120,22 +120,20 @@ def masked_first_hit(flags: np.ndarray, seg: np.ndarray) -> np.ndarray:
     over the boolean semiring is nonzero iff some masked entry hits,
     and the *short-circuit* evaluation stops at the first hit -- this
     returns where each row's scan would stop.  ``seg`` is the segment
-    offset array (``len(seg) == nrows + 1``) tiling ``flags``.
+    offset array (``len(seg) == nrows + 1``) tiling ``flags``.  Each
+    row's first hit is the first True position at or after its start,
+    found by a binary search over the True positions; it is the row's
+    when it lies before the row's end.
     """
     seg = np.asarray(seg, dtype=np.int64)
-    sizes = seg[1:] - seg[:-1]
-    out = np.full(len(sizes), -1, dtype=np.int64)
-    flags = np.asarray(flags)
-    if flags.size == 0 or not sizes.any():
-        return out
-    big = np.int64(flags.size)
-    cand = np.where(flags, np.arange(flags.size, dtype=np.int64), big)
-    nz = sizes > 0
-    first_abs = np.minimum.reduceat(cand, seg[:-1][nz])
-    hit = first_abs < big
-    idx_nz = np.flatnonzero(nz)
-    out[idx_nz[hit]] = first_abs[hit] - seg[:-1][nz][hit]
-    return out
+    hits = np.flatnonzero(flags)
+    if hits.size == 0:
+        return np.full(len(seg) - 1, -1, dtype=np.int64)
+    starts = seg[:-1]
+    first = hits[np.minimum(np.searchsorted(hits, starts), hits.size - 1)]
+    # a start past the last hit finds that hit, which lies before it
+    found = (first >= starts) & (first < seg[1:])
+    return np.where(found, first - starts, -1)
 
 
 def first_claim(targets: np.ndarray, eligible: np.ndarray) -> np.ndarray:

@@ -275,6 +275,12 @@ class CountingMemory(MemoryModel):
     access; a ``rand`` access at no index, one scalar index or an index
     array of at most one element) has increments that depend only on
     ``(size, itemsize, n, mode)``; those are memoized per model.
+
+    An access misses only at levels smaller than its array: a ``seq``
+    scan by the rule above, a ``rand`` access because its working set
+    (the span) never exceeds the array.  So an array no larger than the
+    smallest capacity returns at once, and every other access is
+    charged only at the levels smaller than the array.
     """
 
     #: fixed-point grid: one whole miss is this many quanta
@@ -287,6 +293,8 @@ class CountingMemory(MemoryModel):
         # the capacities an access's working set is compared against
         self._caps = (hier.l1.size_bytes, hier.l2.size_bytes,
                       hier.l3.size_bytes, hier.tlb.entries * hier.tlb.page_bytes)
+        # an array no larger than this misses at no level
+        self._min_cap = min(self._caps)
         # integer fixed-point accumulators per lane; _lane is the
         # current lane's, re-fetched when the counters are redirected
         self._acc: dict[int, list] = {}
@@ -321,7 +329,7 @@ class CountingMemory(MemoryModel):
             return (ql if nbytes > l1 else 0, ql if nbytes > l2 else 0,
                     ql if nbytes > l3 else 0, qp if nbytes > tlb_reach else 0)
         return tuple([int(np.rint(n * max(0.0, 1.0 - cap / nbytes) * q))
-                      for cap in self._caps])
+                      if cap < nbytes else 0 for cap in self._caps])
 
     def _whole_increments(self, handle: ArrayHandle, n: int,
                           mode: str) -> tuple:
@@ -337,6 +345,9 @@ class CountingMemory(MemoryModel):
 
     def _touch(self, handle: ArrayHandle, idx, n: int, mode: str,
                start: int | None = None) -> None:
+        nbytes = handle.nbytes
+        if nbytes <= self._min_cap:
+            return      # every level holds the array
         acc = self._lane
         if acc[4] is not self.counters:
             acc = self._lane = self._acc_for(self.counters)
@@ -349,7 +360,7 @@ class CountingMemory(MemoryModel):
         if mode == "rand" and type(idx) is not int and _count(idx, None) > 1:
             arr = np.asarray(idx)
             span = int(arr.max() - arr.min() + 1) * itemsize
-            inc = self._increments(min(handle.nbytes, max(span, itemsize)),
+            inc = self._increments(min(nbytes, max(span, itemsize)),
                                    itemsize, n, mode)
         else:
             inc = self._whole_increments(handle, n, mode)
@@ -367,71 +378,64 @@ class CountingMemory(MemoryModel):
         """Vectorized analytic accounting for one batched stream op.
 
         Accounts exactly what per-segment :meth:`_touch` calls would:
-        segment ``k`` contributes with ``n = counts[k]`` and, in ``rand``
-        mode, with its own index span (segments of size <= 1 use the
-        whole array, like scalar-idx calls).  Contributions are
-        quantized per segment before summation, so the totals equal the
-        per-call path bit for bit.  When every segment is a whole-array
-        access of the same count, each contributes the memoized
-        increments of :meth:`_touch`.
+        ``seg`` tiles ``idx`` with one count per segment, as
+        :class:`~repro.streams.ops.StreamOp` guarantees, and segment
+        ``k`` contributes with ``n = counts[k]`` and, in ``rand`` mode,
+        with its own index span (segments of size <= 1 use the whole
+        array like scalar-idx calls).  Contributions are quantized per
+        segment before summation, so the totals equal the per-call path
+        bit for bit, and only the levels smaller than the array are
+        charged.
+
+        An op of one count is one :meth:`_touch` call.  An op whose
+        every segment is a whole-array access of one count adds the
+        memoized increments.
         """
-        if mode == "cached":
+        nbytes = handle.nbytes
+        if mode == "cached" or nbytes <= self._min_cap:
             return
         counts = np.asarray(counts, dtype=np.int64)
-        if counts.size == 0:
+        if counts.size <= 1:
+            if counts.size:
+                # one count: one per-call access
+                self._touch(handle, idx, int(counts[0]), mode)
             return
         acc = self._acc_for(self.counters)
         q = self._GRID
-        c0 = int(counts[0])
+        itemsize = handle.itemsize
+        live = [(slot, cap) for slot, cap in enumerate(self._caps)
+                if cap < nbytes]
         if mode == "seq" or idx is None:
             whole = True
-        elif seg is None:
-            whole = np.size(idx) <= 1
         else:
-            whole = bool((seg[1:] - seg[:-1] <= 1).all())
-        if whole and (counts == c0).all():
-            # every segment is a whole-array access of c0 items
-            inc = self._whole_increments(handle, c0, mode)
-            k = counts.size
-            acc[0] += k * inc[0]
-            acc[1] += k * inc[1]
-            acc[2] += k * inc[2]
-            acc[3] += k * inc[3]
+            arr = np.asarray(idx, dtype=np.int64)
+            seg = (np.array([0, arr.size]) if seg is None
+                   else np.asarray(seg, dtype=np.int64))
+            sizes = seg[1:] - seg[:-1]
+            whole = bool((sizes <= 1).all())
+        if whole and (counts == counts[0]).all():
+            # every segment is a whole-array access of counts[0] items
+            inc = self._whole_increments(handle, int(counts[0]), mode)
+            for slot, _ in live:
+                acc[slot] += counts.size * inc[slot]
         elif mode == "seq":
-            nbytes = handle.nbytes
-            l1, l2, l3, tlb_reach = self._caps
-            lines = (counts * handle.itemsize) / self._line
-            ql = int(np.rint(lines * q).astype(np.int64).sum())
-            if nbytes > l1:
-                acc[0] += ql
-            if nbytes > l2:
-                acc[1] += ql
-            if nbytes > l3:
-                acc[2] += ql
-            pages = (counts * handle.itemsize) / _PAGE
-            if nbytes > tlb_reach:
-                acc[3] += int(np.rint(pages * q).astype(np.int64).sum())
+            # one miss per line streamed in the caches, per page in the TLB
+            items = counts * itemsize
+            ql = int(np.rint((items / self._line) * q).astype(np.int64).sum())
+            for slot, _ in live:
+                acc[slot] += ql if slot < 3 else int(
+                    np.rint((items / _PAGE) * q).astype(np.int64).sum())
         else:
-            nb = np.full(counts.size, handle.nbytes, dtype=np.int64)
-            if idx is not None:
-                arr = np.asarray(idx, dtype=np.int64)
-                if arr.size:
-                    if seg is None:
-                        seg = np.array([0, arr.size], dtype=np.int64)
-                    seg = np.asarray(seg, dtype=np.int64)
-                    sizes = seg[1:] - seg[:-1]
-                    nz = sizes > 0
-                    if nz.any():
-                        starts_nz = seg[:-1][nz]
-                        span = ((np.maximum.reduceat(arr, starts_nz)
-                                 - np.minimum.reduceat(arr, starts_nz) + 1)
-                                * handle.itemsize)
-                        eff = np.minimum(handle.nbytes,
-                                         np.maximum(span, handle.itemsize))
-                        multi = sizes[nz] > 1
-                        nb[np.flatnonzero(nz)[multi]] = eff[multi]
+            nb = np.full(counts.size, nbytes, dtype=np.int64)
+            if not whole:
+                nz = sizes > 0
+                starts, wide = seg[:-1][nz], sizes[nz] > 1
+                span = (np.maximum.reduceat(arr, starts)[wide]
+                        - np.minimum.reduceat(arr, starts)[wide] + 1)
+                nb[np.flatnonzero(sizes > 1)] = np.minimum(
+                    nbytes, np.maximum(span * itemsize, itemsize))
             nbf = nb.astype(np.float64)
-            for slot, cap in enumerate(self._caps):
+            for slot, cap in live:
                 frac = np.maximum(0.0, 1.0 - cap / nbf)
                 acc[slot] += int(np.rint((counts * frac) * q)
                                  .astype(np.int64).sum())

@@ -13,12 +13,14 @@ grouping-invariant, consume the whole op vectorized.
 Layout of one op:
 
 * ``idx``   -- concatenated item indices of all segments (``rand`` ops);
-* ``seg``   -- int64 segment offsets (``len == nseg + 1``) tiling ``idx``;
+* ``seg``   -- int64 segment offsets (``len == nseg + 1``) tiling ``idx``:
+  ``seg[0] == 0`` and ``seg[-1] == len(idx)``;
 * ``starts``-- per-segment range starts (``seq`` ops; ``None`` means the
   position-free form, each segment counted from 0);
 * ``counts``-- per-segment item counts.  Defaults to the segment sizes;
   an override expresses the interpreter's ``count=`` parameter (e.g.
-  BFS's 2-item offset read at one scalar index);
+  BFS's 2-item offset read at one scalar index).  ``starts`` holds
+  one entry per count, a ``rand`` op's ``seg`` one more;
 * ``successes`` -- per-segment CAS success counts (``None`` = all);
 * ``covers``    -- ``(handle, idx_array)`` pairs aligned with ``idx``
   (same segmentation) declaring lock/CAS-protected sibling addresses;
@@ -27,6 +29,9 @@ Layout of one op:
   ops key by key; several segments of one op that share a key are one
   loop slot's scalar calls (a vertex's per-neighbour reads), issued in
   segment order inside that slot.
+
+A segmentation that breaks these rules raises ``ValueError`` naming
+the verb and the array, so no replay path has to guess at it.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.machine.memory import ArrayHandle
+from repro.machine.memory import ArrayHandle, handle_name
 
 VERBS = ("read", "write", "faa", "cas", "lock")
 
@@ -78,17 +83,33 @@ class StreamOp:
                 self.seg = np.array([0, self.idx.size], dtype=np.int64)
             else:
                 self.seg = np.asarray(self.seg, dtype=np.int64)
+            # seg must tile idx: every replay path reads it that way
+            if not self.seg.size or self.seg[0] != 0:
+                self._reject(f"seg must start at 0, got {self.seg[:1]}")
+            if self.seg[-1] != self.idx.size:
+                self._reject(f"seg ends at {self.seg[-1]}, idx holds "
+                             f"{self.idx.size} items")
             if self.counts is None:
                 self.counts = self.seg[1:] - self.seg[:-1]
+            elif len(self.counts) != len(self.seg) - 1:
+                self._reject(f"{len(self.counts)} counts for "
+                             f"{len(self.seg) - 1} segments")
         elif self.counts is None:
             raise ValueError("a stream op needs idx (rand) or counts (seq)")
         self.counts = np.asarray(self.counts, dtype=np.int64)
         if self.starts is not None:
             self.starts = np.asarray(self.starts, dtype=np.int64)
+            if len(self.starts) != len(self.counts):
+                self._reject(f"{len(self.starts)} starts for "
+                             f"{len(self.counts)} counts")
         if self.successes is not None:
             self.successes = np.asarray(self.successes, dtype=np.int64)
         if self.groups is not None:
             self.groups = np.asarray(self.groups, dtype=np.int64)
+
+    def _reject(self, why: str) -> None:
+        raise ValueError(f"malformed {self.verb} stream op on "
+                         f"{handle_name(self.handle)!r}: {why}")
 
     @property
     def nseg(self) -> int:

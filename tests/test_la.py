@@ -18,6 +18,7 @@ from repro.la import (
     MIN_PLUS, OR_AND, PLUS_TIMES, adjacency_matrices, bellman_ford_la,
     bfs_la, pagerank_la, spmspv_csc, spmspv_csr, spmv_csc, spmv_csr,
 )
+from repro.la.spmv import masked_first_hit
 
 
 class TestSemirings:
@@ -109,6 +110,44 @@ class TestSpMV:
         _, _, ops_csc = spmspv_csc(csc, idx, val, OR_AND)
         assert ops_csc.rows_touched == 1
         assert ops_csr.rows_touched == comm_graph.n
+
+
+def _first_hits_loop(flags, seg) -> list:
+    """Reference: each row's offset of its first True flag, -1 if none."""
+    out = []
+    for lo, hi in zip(seg[:-1], seg[1:]):
+        hits = np.flatnonzero(flags[lo:hi])
+        out.append(int(hits[0]) if hits.size else -1)
+    return out
+
+
+class TestMaskedFirstHit:
+    """The pull-BFS early-exit scan against a per-segment loop."""
+
+    @pytest.mark.parametrize("flags, seg", [
+        ([], [0]),                                   # seg=[0]: no rows
+        ([], [0, 0, 0]),                             # empty flags, empty rows
+        ([False, False, False], [0, 2, 3]),          # no hits
+        ([True, False, False], [0, 3]),              # hit at a row's start
+        ([False, False, True], [0, 3]),              # ... and at its end
+        ([False, True, False, False, True], [0, 2, 5]),
+        ([True, True, False, True], [0, 0, 2, 2, 4, 4]),  # empty rows
+        ([False, True, True, False], [0, 0, 1, 1, 3, 4, 4]),
+    ])
+    def test_edge_cases(self, flags, seg):
+        flags, seg = np.asarray(flags, dtype=bool), np.asarray(seg)
+        got = masked_first_hit(flags, seg)
+        assert got.dtype == np.int64
+        assert got.tolist() == _first_hits_loop(flags, seg)
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            sizes = rng.integers(0, 6, int(rng.integers(0, 12)))
+            seg = np.r_[0, np.cumsum(sizes)].astype(np.int64)
+            flags = rng.random(int(seg[-1])) < rng.random()
+            assert masked_first_hit(flags, seg).tolist() == \
+                _first_hits_loop(flags, seg)
 
 
 class TestAlgebraicAlgorithms:

@@ -9,8 +9,10 @@ every call (a test-local copy, together with the descriptor rule
 ``_count``).  Seeded random verb streams run through both models and
 every counter and every lane's residue is compared after every call;
 the same accesses replayed through one ``touch_batch`` call per lane,
-array and mode must land on the same totals.  No Hypothesis, so the
-suite runs where only NumPy and pytest are installed.
+array and mode must land on the same totals, and single ``touch_batch``
+ops (whole-array, ascending, descending and one-segment) must match one
+reference ``_touch`` per segment op by op.  No Hypothesis, so the suite
+runs where only NumPy and pytest are installed.
 """
 
 from __future__ import annotations
@@ -287,6 +289,119 @@ def test_whole_array_ops_match_per_call(hier_name, seed):
             [c.to_dict() for c in ref_lanes], (step, mode, counts)
         assert _residues(fast, fast_lanes) == _residues(ref, ref_lanes), \
             (step, mode, counts)
+
+
+def _segment_calls(counts, idx, seg) -> list:
+    """The per-call ``(idx, n)`` of each segment of one ``touch_batch``
+    op: segment ``k`` names ``idx[seg[k]:seg[k + 1]]`` (``seg=None`` is
+    one segment), and a count past the last segment, or any count of an
+    op without ``idx``, is a whole-array access."""
+    if idx is not None and seg is None:
+        seg = [0, len(idx)]
+    return [(idx[seg[k]:seg[k + 1]]
+             if idx is not None and k + 1 < len(seg) else None, n)
+            for k, n in enumerate(counts.tolist())]
+
+
+def _span_op(rng, size: int, kind: str) -> tuple:
+    """``(counts, idx, seg)`` of one random ``rand`` op over ``size``
+    items.  ``one``: a single segment of 2-11 unsorted indices, as
+    ``seg=None`` or ``[0, n]``, with one count or several.  Otherwise
+    2-9 segments, each sorted (ties come from narrow windows), with
+    empty and size-1 segments mixed in, leading and trailing ones
+    included; half the ops rise across every segment start too, the
+    rest restart at random (descents only at segment starts).
+    ``descent`` then swaps one unequal adjacent pair inside a segment,
+    at the segment's first pair half the time."""
+    if kind == "one":
+        k = int(rng.integers(2, 12))
+        lo = int(rng.integers(size))
+        idx = np.minimum(lo + rng.integers(0, int(rng.choice([k, size])), k),
+                         size - 1)
+        seg = None if rng.random() < 0.5 else np.array([0, k])
+        extra = rng.integers(0, 5, 0 if rng.random() < 0.5
+                             else int(rng.integers(1, 4)))
+        return np.r_[k + rng.integers(0, 3), extra], idx, seg
+    nseg = int(rng.integers(2, 10))
+    sizes = rng.integers(2, 7, nseg)
+    sizes[rng.random(nseg) < 0.25] = 0
+    sizes[rng.random(nseg) < 0.25] = 1
+    if rng.random() < 0.3:
+        sizes[0] = 0
+    if rng.random() < 0.3:
+        sizes[-1] = 0
+    width = int(rng.choice([3, 64, size]))
+    rising = rng.random() < 0.5
+    rows, lo = [], int(rng.integers(size))
+    for n in sizes.tolist():
+        if not rising:
+            lo = int(rng.integers(size))
+        row = np.sort(np.minimum(lo + rng.integers(0, width, n), size - 1))
+        rows.append(row)
+        if rising and n:
+            lo = int(row[-1])
+    if kind == "descent":
+        pairs = [(r, j) for r, row in enumerate(rows)
+                 for j in range(len(row) - 1) if row[j] < row[j + 1]]
+        firsts = [(r, j) for r, j in pairs if j == 0]
+        pick = firsts if firsts and rng.random() < 0.5 else pairs
+        if pick:
+            r, j = pick[int(rng.integers(len(pick)))]
+            rows[r][[j, j + 1]] = rows[r][[j + 1, j]]
+    counts = sizes + (rng.integers(0, 3, nseg) if rng.random() < 0.3 else 0)
+    return (counts, np.concatenate(rows).astype(np.int64),
+            np.r_[0, np.cumsum(sizes)])
+
+
+def _descends_inside(idx, seg) -> bool:
+    """Whether some segment holds a descending adjacent pair."""
+    return any((np.diff(idx[a:b]) < 0).any()
+               for a, b in zip(seg[:-1], seg[1:]))
+
+
+@pytest.mark.parametrize("hier_name", sorted(HIERARCHIES))
+@pytest.mark.parametrize("seed", range(4))
+def test_span_ops_match_per_call(hier_name, seed):
+    """``touch_batch`` ``rand`` ops with span-refined segments against
+    one per-call ``_touch`` per segment, counters and residues compared
+    after every op: ascending segments, the same with one descent
+    inside a segment (a span is a segment's extremes, not its ends),
+    and one-segment ops.  The arrays sit at, below and above every
+    capacity, the smallest one included."""
+    hier = HIERARCHIES[hier_name]
+    rng = np.random.default_rng(300 + seed)
+    fast, ref = CountingMemory(hier), ReferenceCounting(hier)
+    fast_h, ref_h = _register(fast, hier), _register(ref, hier)
+    floor = min(hier.l1.size_bytes, hier.l2.size_bytes, hier.l3.size_bytes,
+                hier.tlb.entries * hier.tlb.page_bytes)
+    assert {floor - 8, floor, floor + 8} <= {h.nbytes for h in fast_h}
+    fast_lanes = [PerfCounters() for _ in range(N_LANES)]
+    ref_lanes = [PerfCounters() for _ in range(N_LANES)]
+    fast.set_counters(fast_lanes[0])
+    ref.set_counters(ref_lanes[0])
+    seen = {"one": 0, "ascending": 0, "descent": 0}
+    for step in range(600):
+        if rng.random() < 0.1:
+            lane = int(rng.integers(N_LANES))
+            fast.set_counters(fast_lanes[lane])
+            ref.set_counters(ref_lanes[lane])
+        k = int(rng.integers(len(fast_h)))
+        kind = str(rng.choice(["one", "ascending", "descent"]))
+        counts, idx, seg = _span_op(rng, fast_h[k].size, kind)
+        if kind != "one":
+            seen["descent" if _descends_inside(idx, seg) else "ascending"] += 1
+        else:
+            seen["one"] += 1
+        fast.touch_batch(fast_h[k], mode="rand", counts=counts, idx=idx,
+                         seg=seg)
+        for one, n in _segment_calls(counts, idx, seg):
+            ref._touch(ref_h[k], one, n, "rand")
+        assert [c.to_dict() for c in fast_lanes] == \
+            [c.to_dict() for c in ref_lanes], (step, kind, counts, idx, seg)
+        assert _residues(fast, fast_lanes) == _residues(ref, ref_lanes), \
+            (step, kind, counts, idx, seg)
+    assert min(seen.values()) > 100, seen
+    assert sum(c.l1_misses for c in fast_lanes) > 0
 
 
 def test_flush_at_exact_grid():

@@ -287,6 +287,29 @@ class TestStreamOpContract:
         with pytest.raises(ValueError, match="idx .* or counts"):
             StreamOp("read", h)
 
+    # a malformed segmentation names the verb and the array
+    def test_seg_must_start_at_zero(self):
+        h = CountingMemory(TINY).register("x", 8)
+        with pytest.raises(ValueError, match="read .* 'x': seg must start"):
+            rand_op("read", h, np.arange(4), seg=np.array([1, 2, 4]))
+
+    def test_seg_must_end_at_len_idx(self):
+        h = CountingMemory(TINY).register("x", 8)
+        with pytest.raises(ValueError, match="faa .* 'x': seg ends at 3"):
+            rand_op("faa", h, np.arange(4), seg=np.array([0, 2, 3]))
+
+    def test_counts_must_match_segments(self):
+        h = CountingMemory(TINY).register("x", 8)
+        with pytest.raises(ValueError, match="cas .* 'x': 3 counts for 2"):
+            rand_op("cas", h, np.arange(4), seg=np.array([0, 2, 4]),
+                    counts=np.array([2, 2, 1]))
+
+    def test_seq_starts_must_match_counts(self):
+        h = CountingMemory(TINY).register("x", 8)
+        with pytest.raises(ValueError, match="write .* 'x': 2 starts for 3"):
+            seq_op("write", h, counts=np.array([3, 1, 2]),
+                   starts=np.array([0, 4]))
+
     def test_default_segmentation_is_one_segment(self):
         mem = CountingMemory(TINY)
         h = mem.register("x", 8)
