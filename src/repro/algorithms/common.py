@@ -64,17 +64,6 @@ def segment_sums(vals: np.ndarray, starts: np.ndarray, ends: np.ndarray
     return out
 
 
-def segment_counts(flags: np.ndarray, starts: np.ndarray, ends: np.ndarray
-                   ) -> np.ndarray:
-    """Per-segment count of True flags (same tiling contract as above)."""
-    k = len(starts)
-    out = np.zeros(k, dtype=np.int64)
-    nonempty = ends > starts
-    if flags.size and nonempty.any():
-        out[nonempty] = np.add.reduceat(flags.astype(np.int64), starts[nonempty])
-    return out
-
-
 def block_bounds(rt: SMRuntime, vs: np.ndarray, g: CSRGraph
                  ) -> tuple[int, int]:
     """CSR slice [lo, hi) covering a *contiguous* vertex block ``vs``."""

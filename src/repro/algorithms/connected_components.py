@@ -43,8 +43,7 @@ class CCResult(AlgoResult):
 
 
 def connected_components(g: CSRGraph, rt: SMRuntime, direction: str = PUSH,
-                         pointer_jumping: bool = False,
-                         max_rounds: int | None = None) -> CCResult:
+                         pointer_jumping: bool = False) -> CCResult:
     """Label-propagation connected components on the simulated runtime.
 
     ``pointer_jumping=True`` adds a label-shortcut pass per round
@@ -68,7 +67,7 @@ def connected_components(g: CSRGraph, rt: SMRuntime, direction: str = PUSH,
 
     active = np.arange(n, dtype=np.int64)   # changed last round
     rounds = 0
-    limit = max_rounds if max_rounds is not None else 2 * n + 16
+    limit = 2 * n + 16
 
     while len(active) and rounds < limit:
         rounds += 1

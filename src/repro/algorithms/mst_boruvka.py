@@ -74,9 +74,6 @@ def boruvka_mst(g: CSRGraph, rt: SMRuntime, direction: str = PULL) -> MSTResult:
     start_counters = rt.total_counters()
     iterations = 0
 
-    def owner_of_flag(f: np.ndarray):
-        return rt.part.owner(f)
-
     while len(active) > 1:
         iterations += 1
 

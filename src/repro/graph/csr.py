@@ -93,13 +93,6 @@ class CSRGraph:
         return int(self.degrees.max(initial=0))
 
     @property
-    def avg_degree(self) -> float:
-        """d-bar of the paper: m / n for directed, 2m / n for undirected."""
-        if self.n == 0:
-            return 0.0
-        return len(self.adj) / self.n
-
-    @property
     def n_cells(self) -> int:
         """Representation size in cells: n + 2m (n + m directed)."""
         return self.n + len(self.adj)

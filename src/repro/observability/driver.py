@@ -24,6 +24,8 @@ byte-identical ``events.jsonl`` / ``trace.json`` / ``metrics.json`` /
 
 from __future__ import annotations
 
+import sys
+
 from repro.kernels import BY_NAME, launch
 from repro.observability.export import write_outputs
 from repro.observability.hwcounters import DEFAULT_CACHE_SCALE, equip_cache_sim
@@ -151,7 +153,8 @@ def trace_main(args) -> int:
         print(f"wrote perf baseline: {path}")
         return 0
     if args.algorithm is None:
-        print("error: an algorithm is required unless --bench is given")
+        print("error: an algorithm is required unless --bench is given",
+              file=sys.stderr)
         return 2
     budget = args.overhead_budget
     wallclock = args.wallclock or budget is not None

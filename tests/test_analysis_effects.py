@@ -30,6 +30,17 @@ class TestCleanTree:
             assert keff.phases, f"{name}: no phases inferred"
             assert keff.write_set, f"{name}: empty write set"
 
+    @pytest.mark.parametrize("name", [
+        "bc_approx", "bc_weighted", "betweenness_centrality", "bfs",
+        "connected_components", "dm_bfs", "dm_sssp_delta",
+        "frontier_exploit_coloring", "pagerank", "prim_mst", "sssp_delta"])
+    def test_push_pull_kernels_keep_a_phase_on_each_side(self, report, name):
+        # the pass follows calls, not function references: a body reached
+        # only through a passed-in function drops its phase from here
+        declared = {p.declared for p in report.kernels[name].phases}
+        assert {"push", "pull"} <= declared, \
+            f"{name}: declared phases {sorted(map(str, declared))}"
+
     def test_zero_false_direction_or_ownership_findings(self, report):
         errors = report.errors()
         assert errors == [], "\n".join(str(f) for f in errors)

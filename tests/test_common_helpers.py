@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.common import (
-    block_bounds, check_direction, gather_edge_positions, segment_counts,
-    segment_sums,
+    block_bounds, check_direction, gather_edge_positions, segment_sums,
 )
 from repro.generators import erdos_renyi
 from tests.conftest import make_runtime
@@ -60,17 +59,6 @@ class TestSegmentReductions:
         got = segment_sums(vals, starts, ends)
         want = np.array([vals[s:e].sum() for s, e in zip(starts, ends)])
         assert np.allclose(got, want)
-
-    @settings(max_examples=40, deadline=None)
-    @given(csr_offsets())
-    def test_segment_counts_matches_loop(self, offsets):
-        rng = np.random.default_rng(1)
-        flags = rng.random(int(offsets[-1])) > 0.5
-        starts, ends = offsets[:-1], offsets[1:]
-        got = segment_counts(flags, starts, ends)
-        want = np.array([int(flags[s:e].sum())
-                         for s, e in zip(starts, ends)])
-        assert np.array_equal(got, want)
 
     def test_empty_segments_are_zero(self):
         vals = np.array([1.0, 2.0])

@@ -51,7 +51,7 @@ class TestTraceCommand:
                                                          tmp_path):
         rc = main(["trace", "--out", str(tmp_path / "t")])
         assert rc == 2
-        assert "algorithm" in capsys.readouterr().out
+        assert "algorithm" in capsys.readouterr().err
 
     def test_flame_export(self, capsys, tmp_path):
         out = tmp_path / "t"
