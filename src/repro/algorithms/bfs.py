@@ -10,6 +10,18 @@
   level re-touches all unvisited vertices, giving the O(D·m) read bound
   of Section 4.3.
 
+Each level body evaluates its thread's block as array passes: the push
+step is a CSC SpMSpV whose write-once combining rule
+(:func:`~repro.la.spmv.first_claim`) picks the CAS that wins when the
+block's vertices run in turn, the pull step the masked first-hit
+SpMSpV of Yang, Buluç & Owens (:func:`~repro.la.spmv.masked_first_hit`).
+The block's memory traffic is one :class:`~repro.streams.StreamMemory`
+stream segmented per vertex: merged into one ``access_batch`` under the
+cache simulator, lowered to the per-vertex verb calls under every
+memory proxy (race detectors, fault proxy, footprint recorder).
+``tests/test_sm_level_bodies.py`` keeps the per-vertex loops and
+compares the two after every region.  Both engines run these bodies.
+
 The direction-optimizing switch of Beamer et al. (the paper's [4]) is
 implemented in :mod:`repro.strategies.switching` on top of these two.
 
@@ -24,11 +36,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms.common import (
-    PUSH, AlgoResult, GraphArrays, check_direction,
+    PUSH, AlgoResult, GraphArrays, check_direction, first_hits,
+    gather_edge_positions, row_offsets,
 )
 from repro.graph.csr import CSRGraph
+from repro.la.spmv import first_claim, masked_first_hit
 from repro.runtime.frontier import ThreadLocalFrontiers
 from repro.runtime.sm import SMRuntime
+from repro.streams.memory import StreamMemory
+from repro.streams.ops import concat_ranges, rand_op, seq_op
 
 
 @dataclass
@@ -72,6 +88,7 @@ class BFSState:
         self.parent_h = mem.register("bfs.parent", self.parent)
         self.level_h = mem.register("bfs.level", self.level)
         self.front_h = mem.register("bfs.in_front", g.n, 1)
+        self.streams = StreamMemory(mem)
         self.frontier = np.array([root], dtype=np.int64)
         self.parent[root] = root
         self.level[root] = 0
@@ -108,34 +125,43 @@ class BFSState:
         self.directions.append(direction)
 
     def _step_push(self) -> np.ndarray:
-        g, rt, mem = self.g, self.rt, self.mem
+        g, rt, mem, st = self.g, self.rt, self.mem, self.streams
         my_f = ThreadLocalFrontiers(rt.P)
         parent, level = self.parent, self.level
         nxt_level = self.cur_level + 1
 
         def body(t: int, vs: np.ndarray) -> None:
-            for v in vs:
-                o0, o1 = int(g.offsets[v]), int(g.offsets[v + 1])
-                mem.read(self.ga.off, idx=int(v), count=2, mode="rand")
-                nbrs = g.adj[o0:o1]
-                mem.read(self.ga.adj, start=o0, count=o1 - o0)
-                mem.read(self.parent_h, idx=nbrs, mode="rand")
-                mem.branch_cond(len(nbrs))
-                fresh = nbrs[parent[nbrs] < 0]
-                if len(fresh) == 0:
-                    continue
-                # claim each unvisited neighbor with a CAS; in the
-                # deterministic superstep every attempt succeeds
-                # the winning CAS also owns the level store; the claims
-                # all target the parent array, so they form the
-                # segregated same-array stream the batched-atomic
-                # discount models (Section 5 / Table 4)
-                mem.cas(self.parent_h, idx=fresh, mode="rand",
-                        batched=True, covers=[(self.level_h, fresh)])
-                mem.write(self.level_h, idx=fresh, mode="rand")
-                parent[fresh] = v
-                level[fresh] = nxt_level
-                my_f.extend(t, fresh)
+            if len(vs) == 0:
+                return
+            starts = g.offsets[vs].astype(np.int64)
+            deg = g.offsets[vs + 1] - starts
+            nbrs = g.adj[gather_edge_positions(g.offsets, vs)]
+            seg = row_offsets(deg)
+            # the first edge-order occurrence of each unvisited target is
+            # the CAS that wins when the block's vertices run in turn
+            fresh_pos = first_claim(nbrs, parent[nbrs] < 0)
+            fresh_w = nbrs[fresh_pos].astype(np.int64)
+            fresh_src = np.repeat(vs, deg)[fresh_pos]
+            owner = np.searchsorted(seg, fresh_pos, side="right") - 1
+            seg_f = row_offsets(np.bincount(owner, minlength=len(vs)))
+            # the winning CAS also owns the level store; the claims all
+            # target the parent array, so they form the segregated
+            # same-array stream the batched-atomic discount models
+            # (Section 5 / Table 4)
+            st.replay([
+                rand_op("read", self.ga.off, idx=vs,
+                        seg=np.arange(len(vs) + 1, dtype=np.int64),
+                        counts=np.full(len(vs), 2, dtype=np.int64)),
+                seq_op("read", self.ga.adj, counts=deg, starts=starts),
+                rand_op("read", self.parent_h, idx=nbrs, seg=seg),
+                rand_op("cas", self.parent_h, idx=fresh_w, seg=seg_f,
+                        batched=True, covers=[(self.level_h, fresh_w)]),
+                rand_op("write", self.level_h, idx=fresh_w, seg=seg_f),
+            ], interleave=True)
+            mem.branch_cond(int(deg.sum()))
+            parent[fresh_w] = fresh_src
+            level[fresh_w] = nxt_level
+            my_f.extend(t, fresh_w)
 
         # Algorithm 3's level shape: explore, k-filter the my_Fs into F,
         # one barrier.  The merge runs as its own (serial) phase so its
@@ -157,7 +183,7 @@ class BFSState:
         return nxt
 
     def _step_pull(self) -> np.ndarray:
-        g, rt, mem = self.gin, self.rt, self.mem
+        g, rt, mem, st = self.gin, self.rt, self.mem, self.streams
         my_f = ThreadLocalFrontiers(rt.P)
         parent, level, in_front = self.parent, self.level, self.in_front
         nxt_level = self.cur_level + 1
@@ -167,27 +193,32 @@ class BFSState:
             mem.read(self.parent_h, start=int(vs[0]) if len(vs) else 0,
                      count=len(vs))
             mem.branch_cond(len(vs))
-            for v in unvisited:
-                o0, o1 = int(g.offsets[v]), int(g.offsets[v + 1])
-                mem.read(self.ga_in.off, idx=int(v), count=2, mode="rand")
-                nbrs = g.adj[o0:o1]
-                if len(nbrs) == 0:
-                    continue
-                flags = in_front[nbrs]
-                hit = int(np.argmax(flags)) if flags.any() else -1
-                # early exit: only the prefix up to the first hit is scanned
-                scanned = (hit + 1) if hit >= 0 else len(nbrs)
-                mem.read(self.ga_in.adj, start=o0, count=scanned)
-                mem.read(self.front_h, idx=nbrs[:scanned], mode="rand")
-                mem.branch_cond(scanned)
-                if hit >= 0:
-                    w = int(nbrs[hit])
-                    rt.owned_write_check(v)
-                    parent[v] = w
-                    level[v] = nxt_level
-                    mem.write(self.parent_h, idx=int(v), mode="rand")
-                    mem.write(self.level_h, idx=int(v), mode="rand")
-                    my_f.add(t, int(v))
+            if len(unvisited) == 0:
+                return
+            starts = g.offsets[unvisited].astype(np.int64)
+            seg = row_offsets(g.offsets[unvisited + 1] - starts)
+            nbrs = g.adj[gather_edge_positions(g.offsets, unvisited)]
+            # early exit: only the prefix up to the first hit is scanned
+            scanned, hits, hit_w = first_hits(
+                nbrs, seg, masked_first_hit(in_front[nbrs], seg))
+            pre = concat_ranges(seg[:-1], scanned)
+            hit_vs = unvisited[hits]
+            seg_h = row_offsets(hits)
+            st.replay([
+                rand_op("read", self.ga_in.off, idx=unvisited,
+                        seg=np.arange(len(unvisited) + 1, dtype=np.int64),
+                        counts=np.full(len(unvisited), 2, dtype=np.int64)),
+                seq_op("read", self.ga_in.adj, counts=scanned, starts=starts),
+                rand_op("read", self.front_h, idx=nbrs[pre],
+                        seg=row_offsets(scanned)),
+                rand_op("write", self.parent_h, idx=hit_vs, seg=seg_h),
+                rand_op("write", self.level_h, idx=hit_vs, seg=seg_h),
+            ], interleave=True)
+            mem.branch_cond(int(scanned.sum()))
+            rt.owned_write_check(hit_vs)
+            parent[hit_vs] = hit_w
+            level[hit_vs] = nxt_level
+            my_f.extend(t, hit_vs)
 
         rt.for_each_thread(body)
         # pulling needs no k-filter: membership was tested per vertex

@@ -18,11 +18,21 @@ until no vertex re-enters the current bucket.
 
 Distance updates use combining semantics (``np.minimum.at``), which is
 exactly the CRCW-CB PRAM write rule of Section 2.1.
+
+The pull epoch evaluates each thread's block as a MIN_PLUS gather over
+its unsettled rows, masked to the bucket's members, with a per-vertex
+tropical reduction, and replays the block's traffic as
+:class:`~repro.streams.StreamMemory` streams: one ``access_batch`` under
+the cache simulator, the per-vertex verb calls under every memory
+proxy.  ``tests/test_sm_level_bodies.py`` keeps the per-owner loop it
+replaces and compares the two after every region.  Both engines, and
+weighted BC, run this code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,7 +41,10 @@ from repro.algorithms.common import (
 )
 from repro.graph.builder import unique_ids
 from repro.graph.csr import CSRGraph
+from repro.la.semiring import MIN_PLUS
 from repro.runtime.sm import SMRuntime
+from repro.streams.memory import StreamMemory
+from repro.streams.ops import rand_op, seq_op
 
 _NO_BUCKET = np.iinfo(np.int64).max // 2
 
@@ -55,10 +68,25 @@ def sssp_delta(g: CSRGraph, rt: SMRuntime, source: int, delta: float | None = No
     return DeltaStepping(g, rt, source, delta).run(direction, max_epochs)
 
 
+class _PullRows(NamedTuple):
+    """One thread block's unsettled rows for a pull epoch, laid out from
+    the block's ``dist > b*delta`` mask: the ``mask`` itself, the
+    unsettled vertices ``ids`` (ascending), their neighbours ``adj`` row
+    after row (int64; named like ``CSRGraph.adj``, whose entries the
+    static pass reads as neighbour ids), the cumulative row ends
+    ``ends`` into ``adj``, and per row ``heads``, where ``heads[r] + i``
+    is the adjacency position of the row's ``i``-th entry of ``adj``."""
+
+    mask: np.ndarray
+    ids: np.ndarray
+    adj: np.ndarray
+    ends: np.ndarray
+    heads: np.ndarray
+
+
 class DeltaStepping:
     """Δ-Stepping machinery: the registered (distance, bucket) state, the
-    epoch driver :meth:`run`, and one method per epoch direction (the
-    batched engine overrides only :meth:`_epoch_pull`)."""
+    epoch driver :meth:`run`, and one method per epoch direction."""
 
     def __init__(self, g: CSRGraph, rt: SMRuntime, source: int,
                  delta: float | None) -> None:
@@ -180,16 +208,36 @@ class DeltaStepping:
         return itr
 
     def _epoch_pull(self, b: int) -> int:
-        """Process bucket ``b`` with pull relaxations until it stops refilling."""
+        """Process bucket ``b`` with pull relaxations until it stops
+        refilling: per thread block, a MIN_PLUS gather over the
+        unsettled rows masked to the bucket's members."""
         g, rt, mem, ga = self.g, self.rt, self.mem, self.ga
         dist, bidx, delta = self.dist, self.bidx, self.delta
         dist_h, bidx_h, wgt_h = self.dist_h, self.bidx_h, self.wgt_h
         weights = self.weights
+        st = StreamMemory(mem)
+        sr = MIN_PLUS
         prev_active = np.zeros(g.n, dtype=bool)
         prev_active[bidx == b] = True
         active_h = mem.register("sssp.active", g.n, 1)
         itr = 0
         threshold = b * delta
+        # thread -> its block's unsettled rows, keyed by the exact mask they
+        # were laid out from: with positive weights a vertex above b*delta
+        # stays there all epoch, but a zero-weight edge can settle it on b*delta
+        rows: dict[int, _PullRows] = {}
+
+        def lay_out(v0: int, uns: np.ndarray) -> _PullRows:
+            off = g.offsets[v0:v0 + len(uns) + 1]
+            deg = np.diff(off)
+            udeg = deg[uns]
+            ends = np.cumsum(udeg)
+            # int64, the index dtype of StreamOp and of NumPy gathers: no
+            # body converts it again
+            adj = g.adj[off[0]:off[-1]][np.repeat(uns, deg)].astype(np.int64)
+            return _PullRows(uns, v0 + np.flatnonzero(uns), adj, ends,
+                             off[:-1][uns] - (ends - udeg))
+
         while True:
             itr += 1
             newly_active: list[np.ndarray] = []
@@ -198,54 +246,66 @@ class DeltaStepping:
             def body(t: int, vs: np.ndarray) -> None:
                 if len(vs) == 0:
                     return
-                mem.read(dist_h, start=int(vs[0]), count=len(vs))
+                v0 = int(vs[0])
+                mem.read(dist_h, start=v0, count=len(vs))
                 mem.branch_cond(len(vs))
-                unsettled = vs[dist[vs] > threshold]
-                if len(unsettled) == 0:
+                uns = dist[v0:v0 + len(vs)] > threshold
+                if t not in rows or not np.array_equal(rows[t].mask, uns):
+                    rows[t] = lay_out(v0, uns)
+                lay = rows[t]
+                unsettled, nbrs = lay.ids, lay.adj
+                if len(nbrs) == 0:
                     return
-                # gather all edges of the unsettled vertices (full rescans:
-                # this is precisely pulling's read overhead)
-                pos = gather_edge_positions(g.offsets, unsettled)
-                if len(pos) == 0:
-                    return
-                nbrs = g.adj[pos]
-                w = weights[pos]
-                owners = np.repeat(unsettled, g.offsets[unsettled + 1] - g.offsets[unsettled])
-                mem.read(ga.off, idx=unsettled, count=len(unsettled) + 1, mode="rand")
-                mem.read(ga.adj, count=len(nbrs), mode="seq")
-                mem.read(bidx_h, idx=nbrs, mode="rand")
+                # full rescans of the unsettled rows: this is precisely
+                # pulling's read overhead
+                st.replay([
+                    rand_op("read", ga.off, idx=unsettled,
+                            counts=[len(unsettled) + 1]),
+                    seq_op("read", ga.adj, counts=[len(nbrs)]),
+                    rand_op("read", bidx_h, idx=nbrs),
+                ])
                 mem.branch_cond(len(nbrs))
-                in_bucket = bidx[nbrs] == b
+                # bucket membership is re-derived from bidx in every body: a
+                # crash rerun restores bidx, not arrays private to this kernel
+                cpos = np.flatnonzero(np.take(bidx == b, nbrs))
                 if not first:
-                    mem.read(active_h, idx=nbrs[in_bucket], mode="rand")
-                    in_bucket &= prev_active[nbrs]
-                if not in_bucket.any():
+                    in_bucket = nbrs[cpos]
+                    st.replay([rand_op("read", active_h, idx=in_bucket)])
+                    cpos = cpos[prev_active[in_bucket]]
+                if len(cpos) == 0:
                     return
-                cpos = np.flatnonzero(in_bucket)
                 # candidate edges: lock to read the remote (dist, bucket) pair
-                mem.lock(dist_h, idx=nbrs[cpos], mode="rand")
-                mem.read(wgt_h, count=len(cpos), mode="seq")
-                cand = dist[nbrs[cpos]] + w[cpos]
+                tgt = nbrs[cpos]
+                st.replay([
+                    rand_op("lock", dist_h, idx=tgt),
+                    seq_op("read", wgt_h, counts=[len(cpos)]),
+                ])
+                row = np.searchsorted(lay.ends, cpos, side="right")
+                cand = sr.mul(dist[tgt], weights[lay.heads[row] + cpos])
                 mem.flop(len(cpos))
-                own = owners[cpos]
-                # per-owned-vertex minimum over candidates (local combining)
-                order = np.argsort(own, kind="stable")
-                own_s, cand_s = own[order], cand[order]
-                cut = np.flatnonzero(np.diff(own_s)) + 1
-                groups = np.split(cand_s, cut)
-                uniq = own_s[np.r_[0, cut]] if len(own_s) else own_s
+                # rows run in vertex order, so candidates come grouped by owner
+                first_of = np.r_[0, np.flatnonzero(np.diff(row)) + 1]
+                uniq = unsettled[row[first_of]]
                 mem.branch_cond(len(cpos))
-                for v, vals in zip(uniq, groups):
-                    best = float(vals.min())
-                    if best < dist[v]:
-                        rt.owned_write_check(int(v))
-                        dist[v] = best
-                        new_b = int(best // delta)
-                        bidx[v] = new_b
-                        mem.write(dist_h, idx=int(v), mode="rand")
-                        mem.write(bidx_h, idx=int(v), mode="rand")
-                        if new_b == b:
-                            newly_active.append(np.array([v]))
+                # per-owned-vertex tropical reduction (local combining)
+                best = sr.add.reduceat(cand, first_of)
+                improved = best < dist[uniq]
+                imp = uniq[improved]
+                if len(imp) == 0:
+                    return
+                rt.owned_write_check(imp)
+                bestv = best[improved]
+                dist[imp] = bestv
+                new_b = (bestv // delta).astype(np.int64)
+                bidx[imp] = new_b
+                ones = np.arange(len(imp) + 1, dtype=np.int64)
+                st.replay([
+                    rand_op("write", dist_h, idx=imp, seg=ones),
+                    rand_op("write", bidx_h, idx=imp, seg=ones),
+                ], interleave=True)
+                back = imp[new_b == b]
+                if len(back):
+                    newly_active.append(back)
 
             rt.for_each_thread(body)
             if not newly_active:

@@ -31,9 +31,12 @@ from repro.observability.export import write_outputs
 from repro.observability.hwcounters import DEFAULT_CACHE_SCALE, equip_cache_sim
 from repro.observability.tracer import attach_tracer
 
-#: execution engines: "interpreted" = per-element MemoryModel calls,
-#: "batched" = stream-emitting kernels (repro.streams) replaying numpy
-#: op batches -- byte-identical counters, far less Python dispatch
+#: execution engines: "interpreted" = the kernels in repro.algorithms,
+#: "batched" = their entries in repro.streams.kernels -- byte-identical
+#: counters.  Only PageRank's differ (a semiring port replaying numpy op
+#: batches); the batched BFS, Δ-Stepping and CC entries call the
+#: interpreted kernels, whose vertex-walking phases replay op streams
+#: under both engines
 TRACE_ENGINES = ("interpreted", "batched")
 
 

@@ -21,7 +21,10 @@ from repro.kernels import KERNELS
 from repro.observability.driver import run_traced
 from repro.observability.export import metrics_rollup
 
-#: the kernels the batched engine ports
+#: the kernels with a batched entry.  Only PageRank's runs code of its
+#: own; the BFS, SSSP and CC entries call the interpreted kernels, so
+#: their cells check the entries' wiring, and tests/test_sm_level_bodies.py
+#: certifies the array phases those kernels run under both engines
 ALGORITHMS = [k.name for k in KERNELS if k.batched]
 DATASETS = ("er", "rmat", "road", "comm")
 VARIANTS = ("push", "pull")

@@ -1,11 +1,13 @@
-"""Batched pull Δ-Stepping against the interpreted kernel, cell by cell.
+"""Pull Δ-Stepping against the per-vertex reference, cell by cell.
 
-The batched pull body lays out each thread's unsettled rows once and
-reuses them while the ``dist > b*delta`` mask they were built from is
-unchanged; a zero-weight edge can settle a vertex on ``b*delta`` inside
-an epoch, so the integer weights below (0..3) are the cells that see a
-mask change.  Every cell compares each thread's counters, the simulated
-time, ``dist`` and the inner iteration count with the interpreter.
+The pull epoch (``DeltaStepping._epoch_pull``, run by both engines)
+lays out each thread's unsettled rows once and reuses them while the
+``dist > b*delta`` mask they were built from is unchanged; a
+zero-weight edge can settle a vertex on ``b*delta`` inside an epoch,
+so the integer weights below (0..3) are the cells that see a mask
+change.  Every cell compares each thread's counters, the simulated
+time, ``dist`` and the inner iteration count with the per-owner loop
+of ``tests/test_sm_level_bodies.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from repro.generators import erdos_renyi
 from repro.graph.builder import from_edges
 from repro.observability.hwcounters import equip_cache_sim
 from repro.runtime.sm import SMRuntime
-from repro.streams.kernels import sssp_delta_batched
+from tests.test_sm_level_bodies import ReferenceDeltaStepping
 
 N = 400
 
@@ -38,6 +40,10 @@ def _graph(weights: str, seed: int):
     return from_edges(N, arcs, rng.integers(1, 5, len(arcs)), directed=True)
 
 
+def _reference(g, rt, source: int, direction: str):
+    return ReferenceDeltaStepping(g, rt, source, None).run(direction)
+
+
 def _run(kernel, g, P: int, cache_scale: int):
     rt = SMRuntime(g, P)
     if cache_scale:
@@ -52,8 +58,8 @@ def _run(kernel, g, P: int, cache_scale: int):
 @pytest.mark.parametrize("weights", ["uniform", "int0-3", "none", "directed"])
 def test_batched_pull_matches_interpreted(weights, P, cache_scale, seed):
     g = _graph(weights, seed)
-    rt_i, res_i = _run(sssp_delta, g, P, cache_scale)
-    rt_b, res_b = _run(sssp_delta_batched, g, P, cache_scale)
+    rt_i, res_i = _run(_reference, g, P, cache_scale)
+    rt_b, res_b = _run(sssp_delta, g, P, cache_scale)
     assert res_i.epochs > 1
     assert [c.to_dict() for c in rt_b.thread_counters] == \
         [c.to_dict() for c in rt_i.thread_counters]
